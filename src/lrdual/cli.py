@@ -365,10 +365,16 @@ def _cmd_simulate(args, argv) -> int:
 
 
 def _cmd_sweep(args, argv) -> int:
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     out = _out_dir(args)
     with open(args.config, "r", encoding="utf-8") as fh:
-        grid = SweepGrid.from_mapping(json.load(fh))
-    results = run_noise_sweep(grid, mode=args.mode, seed=args.seed, jobs=args.jobs)
+        try:
+            document = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"malformed JSON in {args.config}: {exc}") from exc
+    grid = SweepGrid.from_mapping(document)
+    results = run_noise_sweep(grid, mode=args.mode, seed=args.seed)
     write_sweep_csv(out / "sweep.csv", results)
     echo = grid.to_mapping()
     echo.update({"mode": args.mode, "base_seed": args.seed})
@@ -465,7 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", default="analytic", choices=["analytic", "monte-carlo"]
     )
-    p.add_argument("--jobs", type=int, default=1, help="concurrent cells (default: 1)")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted for manifest replay; cells run serially"
+    )
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("fit", help="fit a power law to x,y points")

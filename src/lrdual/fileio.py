@@ -51,15 +51,12 @@ def write_text_file(path: Path, text: str) -> None:
         fh.write(text)
 
 
-_write_text = write_text_file
-
-
 def write_schedule_csv(path: Path, lrs: np.ndarray, alphas: np.ndarray) -> None:
     """Rows ``step,lr,alpha`` for steps 1..T."""
     lines = ["step,lr,alpha"]
     for step, (lr, alpha) in enumerate(zip(lrs, alphas), start=1):
         lines.append(f"{step},{fmt17(lr)},{fmt17(alpha)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text_file(path, "\n".join(lines) + "\n")
 
 
 def write_coefficients_csv(path: Path, coeffs: DualCoefficients) -> None:
@@ -68,7 +65,7 @@ def write_coefficients_csv(path: Path, coeffs: DualCoefficients) -> None:
     lines = ["i,c,log_c"]
     for i in range(coeffs.t):
         lines.append(f"{i + 1},{fmt17(c[i])},{fmt17(coeffs.log_c[i])}")
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text_file(path, "\n".join(lines) + "\n")
 
 
 def write_coefficient_matrix_csv(path: Path, log_rows) -> None:
@@ -105,7 +102,7 @@ def write_sweep_csv(path: Path, results: Sequence[SweepCellResult]) -> None:
             f"{fmt17(r.sigma2)},{r.batch},{r.steps},"
             f"{gaps[0]},{gaps[1]},{gaps[2]},{str(r.stable).lower()}"
         )
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text_file(path, "\n".join(lines) + "\n")
 
 
 def write_fit_json(path: Path, fit: PowerLawFit) -> None:
@@ -116,7 +113,7 @@ def write_fit_json(path: Path, fit: PowerLawFit) -> None:
         f'"r_squared": {fmt17(fit.r_squared)}'
         "}\n"
     )
-    _write_text(path, text)
+    write_text_file(path, text)
 
 
 def _data_rows(path: Path, expected_fields: int) -> List[List[str]]:
@@ -295,7 +292,7 @@ class RunManifest:
             "base_seed": self.base_seed,
             "outputs": list(self.outputs),
         }
-        _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_text_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return path
 
     @classmethod

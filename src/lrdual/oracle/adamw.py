@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -152,7 +152,7 @@ class AdamWTrace:
 
 
 def train(
-    problem: Union[QuadraticProblem, np.ndarray],
+    problem: Union[QuadraticProblem, np.ndarray, Callable[[int, np.ndarray], np.ndarray]],
     spec: ScheduleSpec,
     config: AdamWConfig,
     seed: int = 0,
@@ -160,10 +160,12 @@ def train(
 ) -> AdamWTrace:
     """Run AdamW for ``spec.total_steps`` steps and record the trajectory.
 
-    ``problem`` is either a :class:`QuadraticProblem` (noisy quadratic
-    gradients, deterministic in ``seed``) or a scripted gradient stream of
-    shape (total_steps, dim). Raises :class:`DivergenceError` naming the
-    first step at which parameters became non-finite.
+    ``problem`` is a :class:`QuadraticProblem` (noisy quadratic gradients,
+    deterministic in ``seed``), a scripted gradient stream of shape
+    (total_steps, dim), or a gradient callable ``(step, theta) -> g`` called
+    with the 1-based step and the current parameters, which requires
+    ``theta0``. Raises :class:`DivergenceError` naming the first step at
+    which parameters became non-finite.
     """
     lrs = lr_curve(spec)
     steps = spec.total_steps
@@ -179,6 +181,15 @@ def train(
             if noise_std > 0:
                 g = g + noise_std * normal_field(seed, step, dim)
             return g
+
+    elif callable(problem):
+        if theta0 is None:
+            raise ValidationError("a gradient callable needs an explicit theta0")
+        start = np.asarray(theta0, np.float64)
+        if start.ndim != 1:
+            raise ValidationError(f"theta0 must be a vector, got shape {start.shape}")
+        dim = start.shape[0]
+        gradient_at = problem
 
     else:
         scripted = np.asarray(problem, dtype=np.float64)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DivergenceError, ValidationError
-from ..schedules import ScheduleSpec, lr_curve
-from .adamw import AdamWConfig, AdamWState, _apply
+from ..errors import ValidationError
+from ..schedules import ScheduleSpec
+from .adamw import AdamWConfig, train
 from .rng import derive_seed
 
 __all__ = ["order_fit_probe"]
@@ -56,18 +56,15 @@ def order_fit_probe(
     x = gen.standard_normal((total, batch_size, dim))
     y = x @ w_true + noise_std * gen.standard_normal((total, batch_size))
 
-    lrs = lr_curve(spec)
-    state = AdamWState.initial(np.zeros(dim))
-    for t in range(total):
-        residual = x[t] @ state.theta - y[t]
-        grad = 2.0 * (x[t].T @ residual) / batch_size
-        state, _ = _apply(state, grad, lrs[t], config)
-        if not np.all(np.isfinite(state.theta)):
-            raise DivergenceError(t + 1, f"parameters became non-finite at step {t + 1}")
+    def gradient(step: int, theta: np.ndarray) -> np.ndarray:
+        residual = x[step - 1] @ theta - y[step - 1]
+        return 2.0 * (x[step - 1].T @ residual) / batch_size
+
+    theta = train(gradient, spec, config, theta0=np.zeros(dim)).thetas[-1]
 
     losses = np.empty(num_segments)
     for k in range(num_segments):
         rows = slice(k * per_segment, (k + 1) * per_segment)
-        residual = x[rows].reshape(-1, dim) @ state.theta - y[rows].reshape(-1)
+        residual = x[rows].reshape(-1, dim) @ theta - y[rows].reshape(-1)
         losses[k] = float(np.mean(residual * residual))
     return losses

@@ -2,18 +2,17 @@
 
 Cells are the cross product of schedules, peak learning rates, noise
 variances, step counts and batch sizes. Every cell is independent: its seed
-derives from the base seed and the cell's enumeration index, so results are
-identical no matter how many workers execute the grid. Unstable cells are
-flagged in the output rather than dropped.
+derives from the base seed and the cell's enumeration index, so results
+depend only on the grid and the seed. Cells run one after another; unstable
+cells are flagged in the output rather than dropped.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Any, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ValidationError
 from ..schedules import ScheduleKind, ScheduleSpec, lr_curve, steps_from_fraction
@@ -25,6 +24,22 @@ __all__ = ["SweepSchedule", "SweepGrid", "SweepCellResult", "run_noise_sweep"]
 _MODES = ("analytic", "monte-carlo")
 
 
+def _number(value: object, name: str) -> float:
+    """A JSON number as a float; bools and strings are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"sweep grid {name}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value: object, name: str) -> int:
+    """A JSON integer, or a float with an integral value."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"sweep grid {name}: expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SweepSchedule:
     """One schedule shape entering the grid."""
@@ -32,6 +47,10 @@ class SweepSchedule:
     kind: str
     decay_ratio: float = 0.0
     kind_params: Mapping[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.kind not in {k.value for k in ScheduleKind}:
+            raise ValidationError(f"unknown schedule kind {self.kind!r}")
 
     def label(self) -> str:
         return ScheduleKind(self.kind).value
@@ -57,37 +76,43 @@ class SweepGrid:
                 raise ValidationError(f"sweep grid axis {name} must be non-empty")
         if not (self.mu > 0 and math.isfinite(self.mu)):
             raise ValidationError(f"mu must be positive, got {self.mu}")
-        if self.d0 < 0:
-            raise ValidationError(f"d0 must be non-negative, got {self.d0}")
+        if not (self.d0 >= 0 and math.isfinite(self.d0)):
+            raise ValidationError(f"d0 must be non-negative and finite, got {self.d0}")
+        for sigma2 in self.sigma2s:
+            if not (sigma2 >= 0 and math.isfinite(sigma2)):
+                raise ValidationError(f"sigma2s must be non-negative and finite, got {sigma2}")
+        for batch in self.batches:
+            if batch < 1:
+                raise ValidationError(f"batches must be >= 1, got {batch}")
         if not (0.0 <= self.warmup_frac < 1.0):
             raise ValidationError(f"warmup_frac must be in [0, 1), got {self.warmup_frac}")
         if self.trials < 2:
             raise ValidationError(f"trials must be >= 2, got {self.trials}")
 
     @classmethod
-    def from_mapping(cls, data: Mapping[str, object]) -> "SweepGrid":
+    def from_mapping(cls, data: Mapping[str, Any]) -> "SweepGrid":
         """Build a grid from a parsed JSON document."""
         try:
             schedules = tuple(
                 SweepSchedule(
                     kind=str(entry["kind"]),
-                    decay_ratio=float(entry.get("decay_ratio", 0.0)),
+                    decay_ratio=_number(entry.get("decay_ratio", 0.0), "decay_ratio"),
                     kind_params=dict(entry.get("kind_params", {})),
                 )
-                for entry in data["schedules"]  # type: ignore[index]
+                for entry in data["schedules"]
             )
             return cls(
                 schedules=schedules,
-                peak_lrs=tuple(float(v) for v in data["peak_lrs"]),  # type: ignore[index]
-                sigma2s=tuple(float(v) for v in data["sigma2s"]),  # type: ignore[index]
-                steps=tuple(int(v) for v in data["steps"]),  # type: ignore[index]
-                batches=tuple(int(v) for v in data["batches"]),  # type: ignore[index]
-                mu=float(data.get("mu", 1.0)),
-                d0=float(data.get("d0", 1.0)),
-                warmup_frac=float(data.get("warmup_frac", 0.1)),
-                trials=int(data.get("trials", 1000)),
+                peak_lrs=tuple(_number(v, "peak_lrs") for v in data["peak_lrs"]),
+                sigma2s=tuple(_number(v, "sigma2s") for v in data["sigma2s"]),
+                steps=tuple(_integer(v, "steps") for v in data["steps"]),
+                batches=tuple(_integer(v, "batches") for v in data["batches"]),
+                mu=_number(data.get("mu", 1.0), "mu"),
+                d0=_number(data.get("d0", 1.0), "d0"),
+                warmup_frac=_number(data.get("warmup_frac", 0.1), "warmup_frac"),
+                trials=_integer(data.get("trials", 1000), "trials"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed sweep grid: {exc}") from exc
 
     def to_mapping(self) -> dict:
@@ -194,25 +219,13 @@ def run_noise_sweep(
     grid: SweepGrid,
     mode: str = "analytic",
     seed: int = 0,
-    jobs: int = 1,
 ) -> Sequence[SweepCellResult]:
     """Evaluate every grid cell; output is sorted by cell key, not run order."""
     if mode not in _MODES:
         raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    cells = list(
-        product(grid.schedules, grid.peak_lrs, grid.sigma2s, grid.steps, grid.batches)
-    )
-
-    def work(item):
-        index, (sched, peak, sigma2, total, batch) = item
-        return _run_cell(index, sched, peak, sigma2, total, batch, grid, mode, seed)
-
-    items = list(enumerate(cells))
-    if jobs == 1:
-        results = [work(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, items))
+    cells = product(grid.schedules, grid.peak_lrs, grid.sigma2s, grid.steps, grid.batches)
+    results = [
+        _run_cell(index, sched, peak, sigma2, total, batch, grid, mode, seed)
+        for index, (sched, peak, sigma2, total, batch) in enumerate(cells)
+    ]
     return sorted(results, key=SweepCellResult.sort_key)

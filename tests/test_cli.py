@@ -281,6 +281,44 @@ class TestSweep:
                      "--seed", "9", "--jobs", "4", "--out", str(out2)]) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys):
+        config = self._write_config(tmp_path)
+        assert run(tmp_path, "sweep", "--config", str(config), "--jobs", "0") == 1
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"steps": [2.7]},
+            {"trials": 3.9},
+            {"batches": [True]},
+            {"steps": ["5"]},
+            {"batches": [0]},
+            {"batches": [-1]},
+            {"sigma2s": [-1]},
+            {"sigma2s": [float("nan")]},
+            {"d0": float("nan")},
+            {"peak_lrs": ["0.05"]},
+            {"schedules": [{"kind": "bogus"}]},
+            "{not json",
+            "",
+            b"\xff\xfe{",
+        ],
+        ids=lambda d: repr(d)[:40],
+    )
+    def test_bad_grid_is_one_validation_line(self, tmp_path, capsys, document):
+        path = tmp_path / "grid.json"
+        if isinstance(document, dict):
+            path.write_text(json.dumps({**self.CONFIG, **document}))
+        elif isinstance(document, str):
+            path.write_text(document)
+        else:
+            path.write_bytes(document)
+        assert run(tmp_path, "sweep", "--config", str(path)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("lrdual: validation error:")
+
 
 class TestFit:
     def test_exact_two_point_json(self, tmp_path):

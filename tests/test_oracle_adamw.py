@@ -119,6 +119,32 @@ class TestTrain:
         gaps = np.abs(trace.thetas[-1] - optimum)
         assert np.all(gaps < np.abs(trace.thetas[0] - optimum))
 
+    def test_callable_ignoring_theta_matches_scripted_stream(self):
+        spec = spec_of(total=60, warmup=6)
+        grads = np.random.default_rng(3).standard_normal((60, 3))
+        theta0 = np.array([0.5, -1.0, 2.0])
+        scripted = train(grads, spec, AdamWConfig(), theta0=theta0)
+        called = train(lambda step, theta: grads[step - 1], spec, AdamWConfig(), theta0=theta0)
+        assert np.array_equal(called.thetas, scripted.thetas)
+        assert np.array_equal(called.updates, scripted.updates)
+
+    def test_callable_sees_current_parameters(self):
+        problem = QuadraticProblem(dim=3, curvature=1.5, noise_var=0.0, theta0_dist_sq=2.0)
+        spec = spec_of(total=80, warmup=8)
+        optimum = problem.theta_star()
+        expected = train(problem, spec, AdamWConfig())
+        called = train(
+            lambda step, theta: problem.curvature_vector * (theta - optimum),
+            spec,
+            AdamWConfig(),
+            theta0=problem.theta0(),
+        )
+        assert np.array_equal(called.thetas, expected.thetas)
+
+    def test_callable_needs_theta0(self):
+        with pytest.raises(ValidationError):
+            train(lambda step, theta: np.zeros(2), spec_of(), AdamWConfig())
+
     def test_scripted_stream_shape_checked(self):
         with pytest.raises(ValidationError):
             train(np.zeros((7, 2)), spec_of(total=50, warmup=5), AdamWConfig())
