@@ -156,33 +156,24 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_manifest(args, argv, command: str, config: dict, outputs: List[str]) -> None:
+# Flags that are not part of a command's configuration: the parser's own
+# bookkeeping, where the outputs go, the seed (recorded as ``base_seed``) and
+# the plot switch.
+_NOT_CONFIG = ("command", "handler", "out", "seed", "svg")
+
+
+def _write_manifest(args, argv, outputs: List[str]) -> None:
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    if "in_path" in config:
+        config["in"] = config.pop("in_path")
     RunManifest(
-        command=command,
+        command=args.command,
         argv=list(argv),
         config=config,
         version=__version__,
         base_seed=args.seed,
         outputs=outputs,
     ).write(_out_dir(args))
-
-
-def _schedule_config(args) -> dict:
-    return {
-        "kind": args.kind,
-        "steps": args.steps,
-        "warmup": args.warmup,
-        "warmup_frac": args.warmup_frac,
-        "peak_base": args.peak_base,
-        "rho": args.rho,
-        "ratio": args.ratio,
-        "wd": args.wd,
-        "milestone_frac": args.milestone_frac,
-        "drop_frac": args.drop_frac,
-        "cooldown_frac": args.cooldown_frac,
-        "period": args.period,
-        "multipliers": args.multipliers,
-    }
 
 
 # -- commands ---------------------------------------------------------------------
@@ -205,7 +196,7 @@ def _cmd_schedule(args, argv) -> int:
         )
         write_text_file(out / "schedule.svg", svg)
         outputs.append("schedule.svg")
-    _write_manifest(args, argv, "schedule", _schedule_config(args), outputs)
+    _write_manifest(args, argv, outputs)
     return EXIT_OK
 
 
@@ -213,8 +204,6 @@ def _cmd_dual(args, argv) -> int:
     spec = _spec_from_args(args)
     out = _out_dir(args)
     seq = SmoothingSequence.from_schedule(spec, args.wd)
-    config = _schedule_config(args)
-    config.update({"at_step": args.at_step, "matrix": args.matrix})
     outputs = []
     if args.matrix:
         write_coefficient_matrix_csv(
@@ -241,7 +230,7 @@ def _cmd_dual(args, argv) -> int:
             )
             write_text_file(out / "dual.svg", svg)
             outputs.append("dual.svg")
-    _write_manifest(args, argv, "dual", config, outputs)
+    _write_manifest(args, argv, outputs)
     return EXIT_OK
 
 
@@ -264,8 +253,7 @@ def _cmd_design(args, argv) -> int:
         )
         write_text_file(out / "design.svg", svg)
         outputs.append("design.svg")
-    config = {"target": args.target, "wd": args.wd, "rho": args.rho}
-    _write_manifest(args, argv, "design", config, outputs)
+    _write_manifest(args, argv, outputs)
     return EXIT_OK
 
 
@@ -285,13 +273,7 @@ def _cmd_rational(args, argv) -> int:
         )
         write_text_file(out / "rational.svg", svg)
         outputs.append("rational.svg")
-    config = {
-        "peak": args.peak,
-        "wd": args.wd,
-        "steps": args.steps,
-        "warmup": args.warmup,
-    }
-    _write_manifest(args, argv, "rational", config, outputs)
+    _write_manifest(args, argv, outputs)
     return EXIT_OK
 
 
@@ -347,20 +329,7 @@ def _cmd_simulate(args, argv) -> int:
         )
         write_text_file(out / "simulate.svg", svg)
         outputs.append("simulate.svg")
-    cli_config = _schedule_config(args)
-    cli_config.update(
-        {
-            "dim": args.dim,
-            "mu": args.mu,
-            "sigma2": args.sigma2,
-            "d0": args.d0,
-            "batch": args.batch,
-            "beta1": args.beta1,
-            "beta2": args.beta2,
-            "eps": args.eps,
-        }
-    )
-    _write_manifest(args, argv, "simulate", cli_config, outputs)
+    _write_manifest(args, argv, outputs)
     return EXIT_OK
 
 
@@ -381,8 +350,7 @@ def _cmd_sweep(args, argv) -> int:
     write_text_file(
         out / "sweep_config.json", json.dumps(echo, indent=2, sort_keys=True) + "\n"
     )
-    config = {"config": args.config, "mode": args.mode, "jobs": args.jobs}
-    _write_manifest(args, argv, "sweep", config, ["sweep.csv", "sweep_config.json"])
+    _write_manifest(args, argv, ["sweep.csv", "sweep_config.json"])
     return EXIT_OK
 
 
@@ -406,8 +374,7 @@ def _cmd_fit(args, argv) -> int:
         )
         write_text_file(out / "fit.svg", svg)
         outputs.append("fit.svg")
-    config = {"in": args.in_path}
-    _write_manifest(args, argv, "fit", config, outputs)
+    _write_manifest(args, argv, outputs)
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleTargetError, ValidationError
+from .schedules import mup_scale, step_array
 
 __all__ = [
     "TargetProfile",
@@ -93,6 +94,11 @@ def rational_schedule(
         raise DomainError(f"weight_decay must be positive, got {weight_decay}")
     if not (peak_lr > 0 and math.isfinite(peak_lr)):
         raise ValidationError(f"peak_lr must be positive, got {peak_lr}")
+    if peak_lr * weight_decay > 1.0:
+        raise DomainError(
+            f"peak smoothing alpha = peak_lr * weight_decay = {peak_lr * weight_decay} "
+            f"exceeds 1; lower the peak learning rate or the weight decay"
+        )
     if not isinstance(total_steps, (int, np.integer)) or total_steps < 1:
         raise ValidationError(f"total_steps must be a positive integer, got {total_steps!r}")
     if not isinstance(warmup_steps, (int, np.integer)) or warmup_steps < 0:
@@ -102,9 +108,8 @@ def rational_schedule(
             f"warmup_steps={warmup_steps} must be smaller than total_steps={total_steps}"
         )
     w_eff = max(warmup_steps, 1)
-    lrs = np.empty(total_steps, dtype=np.float64)
-    for t in range(1, w_eff + 1):
-        lrs[t - 1] = peak_lr * (t / w_eff)
+    lrs = step_array(total_steps)
+    lrs[:w_eff] = peak_lr * (lrs[:w_eff] / w_eff)
     for t in range(w_eff, total_steps):
         prev = lrs[t - 1]
         lrs[t] = prev / (1.0 + prev * weight_decay)
@@ -127,67 +132,59 @@ def schedule_from_coefficients(
 ) -> DesignedSchedule:
     """Recover the smoothing schedule that realizes ``target``.
 
-    Backward substitution: the last alpha equals the last coefficient, and
-    each earlier alpha divides its coefficient by the product of the
-    ``(1 - alpha)`` factors after it. That product telescopes to the mass of
-    the profile up to the index, so the division uses the extended-precision
-    prefix sums of the target directly; feeding recovered values back into
-    later denominators would compound their rounding. A recovered alpha
-    outside [0, 1] (beyond a 1e-9 slack) raises
-    :class:`InfeasibleTargetError` naming the offending index, never clamps.
-    An alpha within the slack of 1 is a full reset; indices behind a reset
-    carry no realizable mass, so their alphas are free and set to zero
-    (coefficients above the slack there are reported as infeasible).
+    Backward substitution in closed form: each alpha divides its coefficient
+    by the product of the ``(1 - alpha)`` factors after it, which telescopes
+    to the profile's mass up to the index. Every alpha is therefore one
+    division by the extended-precision prefix sums (0 where that mass is 0);
+    feeding recovered values back into later denominators would compound
+    their rounding. Two index searches settle the rest. The last index
+    ``k >= 2`` whose alpha is at least ``1 - 1e-9`` is infeasible if its
+    alpha exceeds ``1 + 1e-9`` and is a full reset otherwise. Indices behind
+    a reset carry no realizable mass, so their alphas are zero, and the
+    highest of them with a coefficient above 1e-9 is stranded mass. Every
+    infeasibility raises :class:`InfeasibleTargetError` naming its index,
+    never clamps.
     """
     if not (weight_decay > 0 and math.isfinite(weight_decay)):
         raise DomainError(f"weight_decay must be positive, got {weight_decay}")
-    if not (0.0 < mup_factor <= 1.0):
-        raise ValidationError(f"mup_factor must be in (0, 1], got {mup_factor}")
+    # base LR = alpha / (rho * wd)
+    lr_scale = mup_scale(weight_decay, mup_factor)
     c = target.weights
-    n = len(c)
     prefix = np.cumsum(c.astype(np.longdouble))
-    alphas = np.zeros(n, dtype=np.float64)
-    resets = 0
+    ratio = np.zeros(len(c), dtype=np.longdouble)
+    np.divide(c, prefix, out=ratio, where=prefix != 0.0)
+    alphas = ratio.astype(np.float64)
 
-    for i in range(n - 1, 0, -1):
-        if resets > 0:
-            if c[i] > _FEASIBILITY_SLACK:
+    near_one = np.flatnonzero(alphas[1:] >= 1.0 - _FEASIBILITY_SLACK)
+    if near_one.size:
+        k = int(near_one[-1]) + 1
+        if alphas[k] > 1.0 + _FEASIBILITY_SLACK:
+            raise InfeasibleTargetError(
+                k + 1,
+                f"recovered alpha={float(alphas[k])} at index {k + 1} exceeds 1; "
+                f"the profile is not realizable with the initial-weights convention",
+            )
+        stranded = np.flatnonzero(c[:k] > _FEASIBILITY_SLACK)
+        if stranded.size:
+            i = int(stranded[-1])
+            if i == 0:
                 raise InfeasibleTargetError(
-                    i + 1,
-                    f"coefficient {c[i]} at index {i + 1} is unreachable behind a "
-                    f"full reset (alpha = 1) at a later index",
+                    1,
+                    f"initial-weights coefficient {c[0]} is unreachable behind a "
+                    f"full reset",
                 )
-            alphas[i] = 0.0
-            continue
-        if prefix[i] == 0.0:
-            alphas[i] = 0.0
-            continue
-        a = float(np.longdouble(c[i]) / prefix[i])
-        if a > 1.0 + _FEASIBILITY_SLACK:
             raise InfeasibleTargetError(
                 i + 1,
-                f"recovered alpha={a} at index {i + 1} exceeds 1; the profile is "
-                f"not realizable with the initial-weights convention",
+                f"coefficient {c[i]} at index {i + 1} is unreachable behind a "
+                f"full reset (alpha = 1) at a later index",
             )
-        if a >= 1.0 - _FEASIBILITY_SLACK:
-            a = 1.0
-            resets += 1
-        alphas[i] = a
-
-    if resets > 0:
-        if c[0] > _FEASIBILITY_SLACK:
-            raise InfeasibleTargetError(
-                1,
-                f"initial-weights coefficient {c[0]} is unreachable behind a full reset",
-            )
-    elif prefix[0] > 0.0:
-        a1 = float(np.longdouble(c[0]) / prefix[0])
-        if abs(a1 - 1.0) > _FEASIBILITY_SLACK:  # pragma: no cover - defensive
-            raise InfeasibleTargetError(
-                1,
-                f"index 1 resolves to alpha={a1}, not 1; the profile is not "
-                f"consistent with initial weights as the first input",
-            )
+        alphas[1:k] = 0.0
+        alphas[k] = 1.0
+    elif prefix[0] > 0.0 and abs(alphas[0] - 1.0) > _FEASIBILITY_SLACK:
+        raise InfeasibleTargetError(  # pragma: no cover - defensive
+            1,
+            f"index 1 resolves to alpha={float(alphas[0])}, not 1; the profile is "
+            f"not consistent with initial weights as the first input",
+        )
     alphas[0] = 1.0
-    base_lrs = alphas[1:] / (mup_factor * weight_decay)
-    return DesignedSchedule(alphas=alphas, base_lrs=base_lrs)
+    return DesignedSchedule(alphas=alphas, base_lrs=alphas[1:] / lr_scale)

@@ -24,8 +24,9 @@ class InfiniteTimescaleError(DomainError):
 class InfeasibleTargetError(DomainError):
     """A target coefficient profile has no generating smoothing schedule.
 
-    ``index`` is the 1-based position at which the backward recursion first
-    produced a smoothing value outside [0, 1].
+    ``index`` is the 1-based position of the offending coefficient: the
+    highest index whose smoothing value exceeds 1 or whose mass is stranded
+    behind a full reset.
     """
 
     def __init__(self, index: int, message: str):

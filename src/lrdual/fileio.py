@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,19 +116,28 @@ def write_fit_json(path: Path, fit: PowerLawFit) -> None:
     write_text_file(path, text)
 
 
+def _content_lines(path: Path) -> Iterator[Tuple[int, str]]:
+    """``(line number, stripped line)`` of each non-blank, non-comment line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(raw_lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def _data_rows(path: Path, expected_fields: int) -> List[List[str]]:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if len(fields) != expected_fields:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected {expected_fields} fields, got {len(fields)}"
-                )
-            rows.append(fields)
+    for lineno, line in _content_lines(path):
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != expected_fields:
+            raise ValidationError(
+                f"{path}:{lineno}: expected {expected_fields} fields, got {len(fields)}"
+            )
+        rows.append(fields)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     return rows
@@ -163,15 +172,11 @@ def read_points(path: Path) -> List[Tuple[float, float]]:
 def read_multipliers(path: Path) -> Tuple[float, ...]:
     """Read one multiplier per line (used by the piecewise schedule kind)."""
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values.append(float(line))
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: not a number: {line!r}") from exc
+    for lineno, line in _content_lines(path):
+        try:
+            values.append(float(line))
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: not a number: {line!r}") from exc
     return tuple(values)
 
 

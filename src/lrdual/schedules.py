@@ -46,6 +46,16 @@ class ScheduleKind(str, Enum):
     PIECEWISE = "piecewise"
 
 
+# The kind_params keys each kind reads; ScheduleSpec refuses any other key,
+# so a misspelt parameter cannot fall back to its default unnoticed.
+_KIND_PARAMS = {
+    ScheduleKind.STEP: ("milestone_fraction", "drop_fraction"),
+    ScheduleKind.WSD: ("cooldown_fraction",),
+    ScheduleKind.CYCLIC: ("period_steps",),
+    ScheduleKind.RATIONAL: ("weight_decay",),
+    ScheduleKind.PIECEWISE: ("multipliers",),
+}
+
 # Fraction-of-total-steps arithmetic (0.225 * 1000 and friends) must not be
 # derailed by float representation noise; snap within 1e-9 of an integer.
 _FRACTION_EPS = 1e-9
@@ -64,6 +74,18 @@ def steps_from_fraction(fraction: float, total_steps: int) -> int:
     if not 0.0 <= fraction < 1.0:
         raise ValidationError(f"fraction must be in [0, 1), got {fraction}")
     return _snap_floor(fraction * total_steps)
+
+
+def step_array(total_steps: int) -> np.ndarray:
+    """The step indices ``1.0, 2.0, ..., total_steps`` as float64.
+
+    A step count too large to allocate raises :class:`DomainError` instead
+    of numpy's ``ValueError`` or ``MemoryError``.
+    """
+    try:
+        return np.arange(1, total_steps + 1, dtype=np.float64)
+    except (ValueError, MemoryError) as exc:
+        raise DomainError(f"total_steps={total_steps} is too large to allocate: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +110,7 @@ class ScheduleSpec:
             cyclic: ``period_steps`` (required);
             rational: ``weight_decay`` (required) used in the LR recurrence;
             piecewise: ``multipliers`` covering the post-warmup steps.
+            Any other key is refused.
     """
 
     kind: ScheduleKind
@@ -113,10 +136,7 @@ class ScheduleSpec:
                 f"warmup_steps={self.warmup_steps} must be smaller than "
                 f"total_steps={self.total_steps}"
             )
-        if not (self.peak_base_lr > 0 and math.isfinite(self.peak_base_lr)):
-            raise ValidationError(f"peak_base_lr must be positive, got {self.peak_base_lr}")
-        if not (0.0 < self.mup_factor <= 1.0):
-            raise ValidationError(f"mup_factor must be in (0, 1], got {self.mup_factor}")
+        mup_scale(self.peak_base_lr, self.mup_factor)
         if not (0.0 <= self.decay_ratio <= 1.0):
             raise ValidationError(f"decay_ratio must be in [0, 1], got {self.decay_ratio}")
         self._validate_kind_params()
@@ -133,6 +153,13 @@ class ScheduleSpec:
 
     def _validate_kind_params(self) -> None:
         kind = self.kind
+        known = _KIND_PARAMS.get(kind, ())
+        for name in self.kind_params:
+            if name not in known:
+                raise ValidationError(
+                    f"kind_params.{name} is not a parameter of kind={kind.value}; "
+                    f"it reads {', '.join(known) or 'none'}"
+                )
         if kind is ScheduleKind.STEP:
             mf = float(self._param("milestone_fraction", 0.9))
             df = float(self._param("drop_fraction", 0.001))
@@ -192,7 +219,7 @@ class ScheduleSpec:
     @property
     def peak_lr(self) -> float:
         """Realized peak learning rate ``rho * peak_base_lr``."""
-        return self.mup_factor * self.peak_base_lr
+        return mup_scale(self.peak_base_lr, self.mup_factor)
 
     def _wsd_cooldown_start(self) -> int:
         cf = float(self._param("cooldown_fraction", 0.225))
@@ -272,8 +299,7 @@ def lr_at(spec: ScheduleSpec, t: int) -> float:
 
 def lr_curve(spec: ScheduleSpec) -> np.ndarray:
     """All ``total_steps`` learning rates; index ``t - 1`` equals ``lr_at(spec, t)``."""
-    t = np.arange(1, spec.total_steps + 1, dtype=np.float64)
-    base = spec.peak_base_lr * _shape(spec, t)
+    base = spec.peak_base_lr * _shape(spec, step_array(spec.total_steps))
     return spec.mup_factor * base
 
 

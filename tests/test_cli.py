@@ -207,6 +207,12 @@ class TestRational:
         lrs = [float(r[1]) for r in rows]
         assert lrs == pytest.approx([1, 0.5, 1 / 3, 0.25, 0.2], rel=1e-12)
 
+    def test_peak_alpha_above_one_exits_2(self, tmp_path, capsys):
+        code = run(tmp_path, "rational", "--peak", "20", "--wd", "0.1", "--steps", "5")
+        assert code == 2
+        assert "exceeds 1" in capsys.readouterr().err
+        assert not (tmp_path / "rational_schedule.csv").exists()
+
 
 class TestSimulate:
     def test_reconstruction_error_reported_small(self, tmp_path):
@@ -300,6 +306,7 @@ class TestSweep:
             {"d0": float("nan")},
             {"peak_lrs": ["0.05"]},
             {"schedules": [{"kind": "bogus"}]},
+            {"schedules": [{"kind": "linear", "kind_params": {"zzz": 1}}]},
             "{not json",
             "",
             b"\xff\xfe{",
@@ -318,6 +325,15 @@ class TestSweep:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("lrdual: validation error:")
+
+
+    def test_huge_steps_is_one_domain_line(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({**self.CONFIG, "steps": [10**20]}))
+        assert run(tmp_path, "sweep", "--config", str(path)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("lrdual: domain error:")
 
 
 class TestFit:
@@ -367,3 +383,108 @@ class TestDriver:
         assert main(replay) == 0
         assert (out / "coefficients.csv").read_bytes() == first
         assert (out / "manifest.json").read_bytes() == manifest_bytes
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schedule"],
+            ["dual"],
+            ["simulate"],
+            ["rational", "--peak", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_huge_step_count_is_one_domain_line(self, tmp_path, capsys, argv):
+        # numpy refuses 1e20 float64 entries before allocating anything
+        assert run(tmp_path, *argv, "--steps", "100000000000000000000") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("lrdual: domain error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["design", "--target"],
+            ["fit", "--in"],
+            ["schedule", "--kind", "piecewise", "--steps", "4", "--warmup", "1",
+             "--multipliers"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_non_utf8_input_is_one_validation_line(self, tmp_path, capsys, argv):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"\xff\xfe1,1\n")
+        assert run(tmp_path, *argv, str(path)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("lrdual: validation error:")
+
+
+SCHEDULE_CONFIG = {
+    "kind": "wsd",
+    "steps": 20,
+    "warmup": 2,
+    "warmup_frac": 0.1,
+    "peak_base": 0.016,
+    "rho": 1.0,
+    "ratio": 0.0,
+    "wd": 0.1,
+    "milestone_frac": 0.9,
+    "drop_frac": 0.001,
+    "cooldown_frac": 0.5,
+    "period": None,
+    "multipliers": None,
+}
+SCHEDULE_ARGV = ["--kind", "wsd", "--steps", "20", "--warmup", "2", "--cooldown-frac", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "command", ["schedule", "dual", "design", "rational", "simulate", "sweep", "fit"]
+)
+def test_manifest_config_records_every_flag_but_out_seed_svg(tmp_path, command):
+    profile = tmp_path / "profile.csv"
+    profile.write_text("i,c\n1,0.5\n2,0.5\n")
+    points = tmp_path / "points.csv"
+    points.write_text("x,y\n1,4\n4,2\n")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({**TestSweep.CONFIG, "trials": 10}))
+    argv, config = {
+        "schedule": (SCHEDULE_ARGV, SCHEDULE_CONFIG),
+        "dual": (
+            SCHEDULE_ARGV + ["--at-step", "5"],
+            {**SCHEDULE_CONFIG, "at_step": 5, "matrix": False},
+        ),
+        "design": (
+            ["--target", str(profile), "--rho", "0.5"],
+            {"target": str(profile), "wd": 0.1, "rho": 0.5},
+        ),
+        "rational": (
+            ["--peak", "1", "--steps", "5"],
+            {"peak": 1.0, "wd": 0.1, "steps": 5, "warmup": 0},
+        ),
+        "simulate": (
+            SCHEDULE_ARGV + ["--dim", "3", "--sigma2", "0.5"],
+            {
+                **SCHEDULE_CONFIG,
+                "dim": 3,
+                "mu": 1.0,
+                "sigma2": 0.5,
+                "d0": 1.0,
+                "batch": 1,
+                "beta1": 0.9,
+                "beta2": 0.95,
+                "eps": 1e-8,
+            },
+        ),
+        "sweep": (
+            ["--config", str(grid), "--jobs", "3"],
+            {"config": str(grid), "mode": "analytic", "jobs": 3},
+        ),
+        "fit": (["--in", str(points)], {"in": str(points)}),
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--seed", "4", "--svg", "--out", str(out)]) == 0
+    manifest = RunManifest.load(out / "manifest.json")
+    assert manifest.command == command
+    assert manifest.base_seed == 4
+    assert manifest.config == config

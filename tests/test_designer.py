@@ -45,6 +45,10 @@ class TestRationalSchedule:
         with pytest.raises(DomainError):
             rational_schedule(1.0, 0.0, 10)
 
+    def test_peak_alpha_above_one_rejected(self):
+        with pytest.raises(DomainError, match="exceeds 1"):
+            rational_schedule(20.0, 0.1, 10)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             rational_schedule(-1.0, 0.1, 10)
@@ -160,6 +164,30 @@ class TestScheduleFromCoefficients:
         with pytest.raises(InfeasibleTargetError) as err:
             schedule_from_coefficients(profile, 0.1)
         assert err.value.index == 2
+
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [
+            ([0, 0.3, -0.3, 0.5, 0.5], (2, "unreachable behind a full reset")),
+            ([0.2, 0.3, -0.5, 0.5, 0.5], (2, "unreachable behind a full reset")),
+            ([0.5, -0.5, 3.0, -2.0, 1.0], (1, "initial-weights coefficient")),
+            ([-0.5, 1.5, 0, 2.0], (2, "exceeds 1")),
+            ([0, 0, 0.5, 0.5], [1.0, 0.0, 1.0, 0.5]),
+        ],
+    )
+    def test_bypassed_profiles(self, weights, expected):
+        # profiles that bypass validation reach every reset and infeasibility
+        # branch; an infeasibility names the highest offending index, and a
+        # zero-mass prefix before a reset recovers alpha 0
+        profile = TargetProfile.__new__(TargetProfile)
+        object.__setattr__(profile, "weights", np.array(weights, dtype=np.float64))
+        if isinstance(expected, list):
+            assert schedule_from_coefficients(profile, 0.1).alphas.tolist() == expected
+            return
+        index, message = expected
+        with pytest.raises(InfeasibleTargetError, match=message) as err:
+            schedule_from_coefficients(profile, 0.1)
+        assert err.value.index == index
 
     def test_weight_decay_required_positive(self):
         with pytest.raises(DomainError):

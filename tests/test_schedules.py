@@ -275,6 +275,19 @@ class TestValidation:
                 kind_params={"multipliers": (0.5,) * 7 + (1.5,)},
             )
 
+    @pytest.mark.parametrize(
+        "kind, params, unknown",
+        [
+            ("linear", {"zzz": 1}, "zzz"),
+            ("constant", {"weight_decay": 0.1}, "weight_decay"),
+            ("wsd", {"cooldown_frac": 0.5}, "cooldown_frac"),
+            ("step", {"milestone_fraction": 0.5, "drop_frac": 0.1}, "drop_frac"),
+        ],
+    )
+    def test_unknown_kind_params_key_rejected(self, kind, params, unknown):
+        with pytest.raises(ValidationError, match=f"kind_params.{unknown} is not"):
+            ScheduleSpec(kind=kind, total_steps=10, peak_base_lr=0.1, kind_params=params)
+
 
 # -- hypothesis-driven invariants ------------------------------------------------
 
