@@ -21,7 +21,9 @@ from .dual import SmoothingSequence, coefficients_at, iter_coefficient_rows
 from .errors import DivergenceError, DomainError, LRDualError, ValidationError
 from .fileio import (
     RunManifest,
-    fmt17,
+    columns_text,
+    float_json_text,
+    json_text,
     read_multipliers,
     read_points,
     read_target_profile,
@@ -177,64 +179,49 @@ def _write_manifest(args, argv, outputs: List[str]) -> None:
 
 
 # -- commands ---------------------------------------------------------------------
+#
+# Each command writes its tables into --out and returns their file names, in
+# manifest order, and the plot --svg draws: a (file name, series, keyword
+# arguments of svg_line_plot) triple, or None for no plot.
 
 
-def _cmd_schedule(args, argv) -> int:
+def _cmd_schedule(args):
     spec = _spec_from_args(args)
     out = _out_dir(args)
     lrs = lr_curve(spec)
-    alphas = alpha_curve(spec, args.wd)
-    outputs = ["schedule.csv"]
-    write_schedule_csv(out / "schedule.csv", lrs, alphas)
-    if args.svg:
-        steps = np.arange(1, spec.total_steps + 1)
-        svg = svg_line_plot(
-            [(spec.kind.value, steps, lrs)],
-            title="learning rate schedule",
-            x_label="step",
-            y_label="learning rate",
-        )
-        write_text_file(out / "schedule.svg", svg)
-        outputs.append("schedule.svg")
-    _write_manifest(args, argv, outputs)
-    return EXIT_OK
+    write_schedule_csv(out / "schedule.csv", lrs, alpha_curve(spec, args.wd))
+    steps = np.arange(1, spec.total_steps + 1)
+    style = dict(title="learning rate schedule", x_label="step", y_label="learning rate")
+    return ["schedule.csv"], ("schedule.svg", [(spec.kind.value, steps, lrs)], style)
 
 
-def _cmd_dual(args, argv) -> int:
+def _cmd_dual(args):
     spec = _spec_from_args(args)
     out = _out_dir(args)
     seq = SmoothingSequence.from_schedule(spec, args.wd)
-    outputs = []
     if args.matrix:
         write_coefficient_matrix_csv(
             out / "coefficient_matrix.csv", iter_coefficient_rows(seq)
         )
-        outputs.append("coefficient_matrix.csv")
-    else:
-        at = spec.total_steps if args.at_step is None else args.at_step
-        if not 1 <= at <= spec.total_steps:
-            raise ValidationError(
-                f"--at-step {at} outside the schedule range 1..{spec.total_steps}"
-            )
-        coeffs = coefficients_at(SmoothingSequence(seq.alphas[: at + 1]))
-        write_coefficients_csv(out / "coefficients.csv", coeffs)
-        outputs.append("coefficients.csv")
-        if args.svg:
-            idx = np.arange(1, coeffs.t + 1)
-            svg = svg_line_plot(
-                [(f"{spec.kind.value} duals", idx, coeffs.c)],
-                title="update-combination coefficients",
-                x_label="input index",
-                y_label="coefficient",
-                log_y=True,
-            )
-            write_text_file(out / "dual.svg", svg)
-            outputs.append("dual.svg")
-    _write_manifest(args, argv, outputs)
-    return EXIT_OK
+        return ["coefficient_matrix.csv"], None
+    at = spec.total_steps if args.at_step is None else args.at_step
+    if not 1 <= at <= spec.total_steps:
+        raise ValidationError(
+            f"--at-step {at} outside the schedule range 1..{spec.total_steps}"
+        )
+    coeffs = coefficients_at(SmoothingSequence(seq.alphas[: at + 1]))
+    write_coefficients_csv(out / "coefficients.csv", coeffs)
+    series = [(f"{spec.kind.value} duals", np.arange(1, coeffs.t + 1), coeffs.c)]
+    style = dict(
+        title="update-combination coefficients",
+        x_label="input index",
+        y_label="coefficient",
+        log_y=True,
+    )
+    return ["coefficients.csv"], ("dual.svg", series, style)
 
 
-def _cmd_design(args, argv) -> int:
+def _cmd_design(args):
     out = _out_dir(args)
     profile = read_target_profile(Path(args.target))
     designed = schedule_from_coefficients(profile, args.wd, args.rho)
@@ -242,42 +229,21 @@ def _cmd_design(args, argv) -> int:
     # first row is the initial-weights pseudo-step with alpha = 1.
     lrs = designed.alphas / args.wd
     write_schedule_csv(out / "designed_schedule.csv", lrs, designed.alphas)
-    outputs = ["designed_schedule.csv"]
-    if args.svg:
-        idx = np.arange(1, len(designed.alphas) + 1)
-        svg = svg_line_plot(
-            [("designed", idx, lrs)],
-            title="designed schedule",
-            x_label="step",
-            y_label="learning rate",
-        )
-        write_text_file(out / "design.svg", svg)
-        outputs.append("design.svg")
-    _write_manifest(args, argv, outputs)
-    return EXIT_OK
+    idx = np.arange(1, len(designed.alphas) + 1)
+    style = dict(title="designed schedule", x_label="step", y_label="learning rate")
+    return ["designed_schedule.csv"], ("design.svg", [("designed", idx, lrs)], style)
 
 
-def _cmd_rational(args, argv) -> int:
+def _cmd_rational(args):
     out = _out_dir(args)
     lrs = rational_schedule(args.peak, args.wd, args.steps, args.warmup)
-    alphas = lrs * args.wd
-    write_schedule_csv(out / "rational_schedule.csv", lrs, alphas)
-    outputs = ["rational_schedule.csv"]
-    if args.svg:
-        steps = np.arange(1, args.steps + 1)
-        svg = svg_line_plot(
-            [("rational", steps, lrs)],
-            title="rational schedule",
-            x_label="step",
-            y_label="learning rate",
-        )
-        write_text_file(out / "rational.svg", svg)
-        outputs.append("rational.svg")
-    _write_manifest(args, argv, outputs)
-    return EXIT_OK
+    write_schedule_csv(out / "rational_schedule.csv", lrs, lrs * args.wd)
+    steps = np.arange(1, args.steps + 1)
+    style = dict(title="rational schedule", x_label="step", y_label="learning rate")
+    return ["rational_schedule.csv"], ("rational.svg", [("rational", steps, lrs)], style)
 
 
-def _cmd_simulate(args, argv) -> int:
+def _cmd_simulate(args):
     spec = _spec_from_args(args)
     out = _out_dir(args)
     problem = QuadraticProblem(
@@ -292,48 +258,27 @@ def _cmd_simulate(args, argv) -> int:
     )
     trace = train(problem, spec, config, seed=args.seed)
     dist_sq = np.sum((trace.thetas[1:] - problem.theta_star()) ** 2, axis=1)
-    alphas = trace.lrs * args.wd
-
-    lines = ["step,lr,alpha,dist_sq"]
-    for step in range(1, spec.total_steps + 1):
-        lines.append(
-            f"{step},{fmt17(trace.lrs[step - 1])},{fmt17(alphas[step - 1])},"
-            f"{fmt17(dist_sq[step - 1])}"
-        )
-    write_text_file(out / "trace.csv", "\n".join(lines) + "\n")
-
-    if args.wd > 0:
-        coeffs = coefficients_at(trace.smoothing())
-        _, rel_err = reconstruct_from_updates(trace, coeffs)
-        rel_err_text = fmt17(rel_err)
-    else:
-        rel_err_text = "null"
-    tpp_analog = spec.total_steps * args.batch / args.dim
-    summary = (
-        "{"
-        f'"final_dist_sq": {fmt17(dist_sq[-1])}, '
-        f'"reconstruction_relative_error": {rel_err_text}, '
-        f'"tpp_analog": {fmt17(tpp_analog)}'
-        "}\n"
+    write_text_file(
+        out / "trace.csv",
+        columns_text("step,lr,alpha,dist_sq", trace.lrs, trace.lrs * args.wd, dist_sq),
     )
-    write_text_file(out / "summary.json", summary)
-    outputs = ["trace.csv", "summary.json"]
-    if args.svg:
-        steps = np.arange(1, spec.total_steps + 1)
-        svg = svg_line_plot(
-            [("squared distance", steps, dist_sq)],
-            title="distance to optimum",
-            x_label="step",
-            y_label="squared distance",
-            log_y=True,
-        )
-        write_text_file(out / "simulate.svg", svg)
-        outputs.append("simulate.svg")
-    _write_manifest(args, argv, outputs)
-    return EXIT_OK
+    rel_err = None
+    if args.wd > 0:
+        _, rel_err = reconstruct_from_updates(trace, coefficients_at(trace.smoothing()))
+    summary = {
+        "final_dist_sq": dist_sq[-1],
+        "reconstruction_relative_error": rel_err,
+        "tpp_analog": spec.total_steps * args.batch / args.dim,
+    }
+    write_text_file(out / "summary.json", float_json_text(summary))
+    series = [("squared distance", np.arange(1, spec.total_steps + 1), dist_sq)]
+    style = dict(
+        title="distance to optimum", x_label="step", y_label="squared distance", log_y=True
+    )
+    return ["trace.csv", "summary.json"], ("simulate.svg", series, style)
 
 
-def _cmd_sweep(args, argv) -> int:
+def _cmd_sweep(args):
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     out = _out_dir(args)
@@ -347,35 +292,19 @@ def _cmd_sweep(args, argv) -> int:
     write_sweep_csv(out / "sweep.csv", results)
     echo = grid.to_mapping()
     echo.update({"mode": args.mode, "base_seed": args.seed})
-    write_text_file(
-        out / "sweep_config.json", json.dumps(echo, indent=2, sort_keys=True) + "\n"
-    )
-    _write_manifest(args, argv, ["sweep.csv", "sweep_config.json"])
-    return EXIT_OK
+    write_text_file(out / "sweep_config.json", json_text(echo))
+    return ["sweep.csv", "sweep_config.json"], None
 
 
-def _cmd_fit(args, argv) -> int:
+def _cmd_fit(args):
     out = _out_dir(args)
     points = read_points(Path(args.in_path))
     fit = fit_power_law(points)
     write_fit_json(out / "fit.json", fit)
-    outputs = ["fit.json"]
-    if args.svg:
-        pts = sorted(points)
-        xs = np.array([p[0] for p in pts])
-        ys = np.array([p[1] for p in pts])
-        fitted = fit.coefficient * xs**fit.exponent
-        svg = svg_line_plot(
-            [("data", xs, ys), ("fit", xs, fitted)],
-            title="power-law fit",
-            x_label="x",
-            y_label="y",
-            log_y=True,
-        )
-        write_text_file(out / "fit.svg", svg)
-        outputs.append("fit.svg")
-    _write_manifest(args, argv, outputs)
-    return EXIT_OK
+    xs, ys = np.array(sorted(points)).T
+    series = [("data", xs, ys), ("fit", xs, fit.coefficient * xs**fit.exponent)]
+    style = dict(title="power-law fit", x_label="x", y_label="y", log_y=True)
+    return ["fit.json"], ("fit.svg", series, style)
 
 
 # -- driver ---------------------------------------------------------------------
@@ -458,7 +387,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.seed < 0:
             raise ValidationError(f"--seed must be non-negative, got {args.seed}")
-        return args.handler(args, argv)
+        outputs, plot = args.handler(args)
+        # The plot comes before the manifest, so a plot error leaves none.
+        if args.svg and plot is not None:
+            name, series, style = plot
+            write_text_file(_out_dir(args) / name, svg_line_plot(series, **style))
+            outputs.append(name)
+        _write_manifest(args, argv, outputs)
+        return EXIT_OK
     except ValidationError as exc:
         print(f"lrdual: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

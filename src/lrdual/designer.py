@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleTargetError, ValidationError
-from .schedules import mup_scale, step_array
+from .schedules import ScheduleKind, ScheduleSpec, lr_curve, mup_scale
 
 __all__ = [
     "TargetProfile",
@@ -82,8 +82,10 @@ def rational_schedule(
 
     Linear warmup reaches ``peak_lr`` at step ``warmup_steps`` (step 1 when
     there is no warmup); from there each step applies
-    ``lr' = lr / (1 + lr * weight_decay)``. With weight decay 1 and no warmup
-    this is the harmonic sequence 1, 1/2, 1/3, ...
+    ``lr' = lr / (1 + lr * weight_decay)``, evaluated in closed form as
+    ``peak_lr / (1 + peak_lr * weight_decay * k)`` after ``k`` recurrence
+    steps (``ScheduleKind.RATIONAL``). With weight decay 1 and no warmup this
+    is the harmonic sequence 1, 1/2, 1/3, ...
     """
     if weight_decay == 0:
         raise DomainError(
@@ -99,21 +101,15 @@ def rational_schedule(
             f"peak smoothing alpha = peak_lr * weight_decay = {peak_lr * weight_decay} "
             f"exceeds 1; lower the peak learning rate or the weight decay"
         )
-    if not isinstance(total_steps, (int, np.integer)) or total_steps < 1:
-        raise ValidationError(f"total_steps must be a positive integer, got {total_steps!r}")
-    if not isinstance(warmup_steps, (int, np.integer)) or warmup_steps < 0:
-        raise ValidationError(f"warmup_steps must be non-negative, got {warmup_steps!r}")
-    if warmup_steps >= total_steps:
-        raise ValidationError(
-            f"warmup_steps={warmup_steps} must be smaller than total_steps={total_steps}"
+    return lr_curve(
+        ScheduleSpec(
+            kind=ScheduleKind.RATIONAL,
+            total_steps=total_steps,
+            peak_base_lr=peak_lr,
+            warmup_steps=warmup_steps,
+            kind_params={"weight_decay": weight_decay},
         )
-    w_eff = max(warmup_steps, 1)
-    lrs = step_array(total_steps)
-    lrs[:w_eff] = peak_lr * (lrs[:w_eff] / w_eff)
-    for t in range(w_eff, total_steps):
-        prev = lrs[t - 1]
-        lrs[t] = prev / (1.0 + prev * weight_decay)
-    return lrs
+    )
 
 
 def coefficient_ratio(alpha_i: float, alpha_next: float) -> float:

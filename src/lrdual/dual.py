@@ -184,12 +184,7 @@ def coefficient_matrix(alphas: SmoothingSequence) -> np.ndarray:
 
 def init_coefficient(alphas: SmoothingSequence) -> float:
     """Exact weight of the initial parameters, ``prod_{j=2..t} (1 - alpha_j)``."""
-    t = len(alphas)
-    log_alpha, prefix, resets = _log_tables(alphas)
-    if resets[t - 1] > 0:
-        return 0.0
-    log_c = log_alpha[0] + float(prefix[t - 1] - prefix[0])
-    return 0.0 if log_c < LOG_FLUSH_THRESHOLD else float(np.exp(log_c))
+    return float(coefficients_at(alphas).c[0])
 
 
 def init_coefficient_approx(avg_alpha: float, t: int) -> float:

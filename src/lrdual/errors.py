@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: validation errors exit 1, domain and
 infeasibility errors exit 2, divergence errors exit 3, I/O errors exit 4.
 """
 
+from contextlib import contextmanager
+
 
 class LRDualError(Exception):
     """Base class for all errors raised by this package."""
@@ -44,3 +46,17 @@ class DivergenceError(LRDualError):
 
 class NonFiniteGradientError(DivergenceError):
     """A gradient containing NaN or infinity would poison optimizer state."""
+
+
+@contextmanager
+def allocation_guard(name: str, size: int):
+    """Turn numpy's refusal to allocate ``size`` entries into a :class:`DomainError`.
+
+    Wrap only the allocation: numpy reports an oversized shape as a
+    ``ValueError`` (or ``MemoryError``), which would otherwise escape as a
+    traceback.
+    """
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise DomainError(f"{name}={size} is too large to allocate: {exc}") from exc

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -23,6 +24,9 @@ from .scaling import PowerLawFit
 
 __all__ = [
     "fmt17",
+    "columns_text",
+    "float_json_text",
+    "json_text",
     "write_text_file",
     "write_schedule_csv",
     "write_coefficients_csv",
@@ -51,21 +55,44 @@ def write_text_file(path: Path, text: str) -> None:
         fh.write(text)
 
 
+# Rows formatted per block: the Python floats and row strings of one block
+# are freed before the next, so peak memory stays near the text's own size.
+_BLOCK_ROWS = 4096
+
+
+def columns_text(header: str, *columns: np.ndarray) -> str:
+    """CSV text: ``header``, then rows ``index,col1,...`` with the index from 1."""
+    row = "{}," + ",".join(["{:.17g}"] * len(columns))
+    arrays = [np.asarray(column, dtype=np.float64) for column in columns]
+    parts = [header]
+    for start in range(0, min(map(len, arrays)), _BLOCK_ROWS):
+        values = [a[start : start + _BLOCK_ROWS].tolist() for a in arrays]
+        parts.append("\n".join(map(row.format, count(start + 1), *values)))
+    return "\n".join(parts) + "\n"
+
+
+def float_json_text(fields: Mapping[str, Optional[float]]) -> str:
+    """One-line JSON object of floats in 17 digits; None becomes ``null``."""
+    body = ", ".join(
+        f'"{key}": {"null" if value is None else fmt17(value)}'
+        for key, value in fields.items()
+    )
+    return "{" + body + "}\n"
+
+
+def json_text(document: object) -> str:
+    """JSON with two-space indent and sorted keys, ending in a newline."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
 def write_schedule_csv(path: Path, lrs: np.ndarray, alphas: np.ndarray) -> None:
     """Rows ``step,lr,alpha`` for steps 1..T."""
-    lines = ["step,lr,alpha"]
-    for step, (lr, alpha) in enumerate(zip(lrs, alphas), start=1):
-        lines.append(f"{step},{fmt17(lr)},{fmt17(alpha)}")
-    write_text_file(path, "\n".join(lines) + "\n")
+    write_text_file(path, columns_text("step,lr,alpha", lrs, alphas))
 
 
 def write_coefficients_csv(path: Path, coeffs: DualCoefficients) -> None:
     """Rows ``i,c,log_c`` for inputs 1..t at the final step."""
-    c = coeffs.c
-    lines = ["i,c,log_c"]
-    for i in range(coeffs.t):
-        lines.append(f"{i + 1},{fmt17(c[i])},{fmt17(coeffs.log_c[i])}")
-    write_text_file(path, "\n".join(lines) + "\n")
+    write_text_file(path, columns_text("i,c,log_c", coeffs.c, coeffs.log_c))
 
 
 def write_coefficient_matrix_csv(path: Path, log_rows) -> None:
@@ -106,14 +133,10 @@ def write_sweep_csv(path: Path, results: Sequence[SweepCellResult]) -> None:
 
 
 def write_fit_json(path: Path, fit: PowerLawFit) -> None:
-    text = (
-        "{"
-        f'"c": {fmt17(fit.coefficient)}, '
-        f'"m": {fmt17(fit.exponent)}, '
-        f'"r_squared": {fmt17(fit.r_squared)}'
-        "}\n"
+    write_text_file(
+        path,
+        float_json_text({"c": fit.coefficient, "m": fit.exponent, "r_squared": fit.r_squared}),
     )
-    write_text_file(path, text)
 
 
 def _content_lines(path: Path) -> Iterator[Tuple[int, str]]:
@@ -297,7 +320,7 @@ class RunManifest:
             "base_seed": self.base_seed,
             "outputs": list(self.outputs),
         }
-        write_text_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_text_file(path, json_text(payload))
         return path
 
     @classmethod

@@ -19,7 +19,7 @@ from typing import NamedTuple, Tuple, Union
 
 import numpy as np
 
-from ..errors import DomainError, ValidationError
+from ..errors import DomainError, ValidationError, allocation_guard
 from .rng import normal_field
 
 __all__ = [
@@ -54,9 +54,9 @@ class QuadraticProblem:
     def __post_init__(self) -> None:
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
             raise ValidationError(f"dim must be a positive integer, got {self.dim!r}")
-        curv = np.broadcast_to(
-            np.asarray(self.curvature, dtype=np.float64), (self.dim,)
-        ).copy()
+        with allocation_guard("dim", self.dim):
+            curv = np.empty(self.dim)
+        curv[...] = np.broadcast_to(np.asarray(self.curvature, dtype=np.float64), (self.dim,))
         if not np.all(np.isfinite(curv)) or curv.min() <= 0:
             raise ValidationError("curvature must be positive in every coordinate")
         object.__setattr__(self, "curvature", curv)
@@ -165,7 +165,8 @@ def sgd_monte_carlo_gap(
     lrs = np.asarray(lr_curve, dtype=np.float64)
     check_sgd_stability(lrs, mu)
     noise_std = math.sqrt(noise_var_eff)
-    theta = np.full(trials, math.sqrt(d0))
+    with allocation_guard("trials", trials):
+        theta = np.full(trials, math.sqrt(d0))
     for t in range(1, len(lrs) + 1):
         lr = lrs[t - 1]
         theta = (1.0 - lr * mu) * theta

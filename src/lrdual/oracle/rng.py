@@ -1,9 +1,9 @@
 """Counter-based random streams for reproducible, order-independent noise.
 
 Draws are keyed by ``(seed, step)`` through the Philox block cipher, so a
-given step's noise vector is identical whether steps or sweep cells run
-serially or concurrently. Coordinate ``i`` of a step's field is the i-th
-draw of that step's stream.
+given step's noise vector does not depend on which steps or sweep cells ran
+before it. Coordinate ``i`` of a step's field is the i-th draw of that
+step's stream.
 """
 
 from __future__ import annotations

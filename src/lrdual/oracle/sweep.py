@@ -51,9 +51,7 @@ class SweepSchedule:
     def __post_init__(self) -> None:
         if self.kind not in {k.value for k in ScheduleKind}:
             raise ValidationError(f"unknown schedule kind {self.kind!r}")
-
-    def label(self) -> str:
-        return ScheduleKind(self.kind).value
+        object.__setattr__(self, "kind", ScheduleKind(self.kind).value)
 
 
 @dataclass(frozen=True)
@@ -187,7 +185,7 @@ def _run_cell(
     lrs = lr_curve(spec)
     result = SweepCellResult(
         index=index,
-        schedule=sched.label(),
+        schedule=sched.kind,
         peak_lr=peak,
         decay_ratio=sched.decay_ratio,
         sigma2=sigma2,

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, allocation_guard
 
 __all__ = [
     "ScheduleKind",
@@ -82,10 +82,8 @@ def step_array(total_steps: int) -> np.ndarray:
     A step count too large to allocate raises :class:`DomainError` instead
     of numpy's ``ValueError`` or ``MemoryError``.
     """
-    try:
+    with allocation_guard("total_steps", total_steps):
         return np.arange(1, total_steps + 1, dtype=np.float64)
-    except (ValueError, MemoryError) as exc:
-        raise DomainError(f"total_steps={total_steps} is too large to allocate: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)

@@ -230,6 +230,15 @@ class TestSimulate:
         assert header == ["step", "lr", "alpha", "dist_sq"]
         assert len(rows) == 300
 
+    def test_huge_dim_is_one_domain_line(self, tmp_path, capsys):
+        # numpy refuses 1e20 entries before allocating anything
+        code = run(tmp_path, "simulate", "--steps", "10", "--dim", "100000000000000000000")
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("lrdual: domain error: dim=")
+        assert lines[0].endswith("too large to allocate: Maximum allowed dimension exceeded")
+
     def test_divergence_exits_3(self, tmp_path):
         code = run(
             tmp_path,
@@ -334,6 +343,15 @@ class TestSweep:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("lrdual: domain error:")
+
+    def test_huge_trials_is_one_domain_line(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({**self.CONFIG, "trials": 10**20}))
+        code = run(tmp_path, "sweep", "--config", str(path), "--mode", "monte-carlo")
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("lrdual: domain error: trials=")
 
 
 class TestFit:
@@ -488,3 +506,52 @@ def test_manifest_config_records_every_flag_but_out_seed_svg(tmp_path, command):
     assert manifest.command == command
     assert manifest.base_seed == 4
     assert manifest.config == config
+
+
+OUTPUT_CASES = {
+    "schedule": (["schedule", *SCHEDULE_ARGV, "--svg"], ["schedule.csv", "schedule.svg"]),
+    "dual": (["dual", *SCHEDULE_ARGV, "--svg"], ["coefficients.csv", "dual.svg"]),
+    "dual-matrix": (
+        ["dual", *SCHEDULE_ARGV, "--matrix", "--svg"],
+        ["coefficient_matrix.csv"],
+    ),
+    "design": (
+        ["design", "--target", "{profile}", "--svg"],
+        ["designed_schedule.csv", "design.svg"],
+    ),
+    "rational": (
+        ["rational", "--peak", "1", "--steps", "5", "--svg"],
+        ["rational_schedule.csv", "rational.svg"],
+    ),
+    "simulate": (
+        ["simulate", *SCHEDULE_ARGV, "--dim", "3", "--svg"],
+        ["trace.csv", "summary.json", "simulate.svg"],
+    ),
+    "simulate-wd0": (
+        ["simulate", *SCHEDULE_ARGV, "--dim", "3", "--wd", "0", "--svg"],
+        ["trace.csv", "summary.json", "simulate.svg"],
+    ),
+    "sweep": (["sweep", "--config", "{grid}", "--svg"], ["sweep.csv", "sweep_config.json"]),
+    "fit": (["fit", "--in", "{points}", "--svg"], ["fit.json", "fit.svg"]),
+}
+
+
+@pytest.mark.parametrize("case", list(OUTPUT_CASES))
+def test_manifest_lists_exactly_the_files_written(tmp_path, case):
+    inputs = {
+        "profile": tmp_path / "profile.csv",
+        "points": tmp_path / "points.csv",
+        "grid": tmp_path / "grid.json",
+    }
+    inputs["profile"].write_text("i,c\n1,0.5\n2,0.5\n")
+    inputs["points"].write_text("x,y\n1,4\n4,2\n")
+    inputs["grid"].write_text(json.dumps({**TestSweep.CONFIG, "trials": 10}))
+    argv, outputs = OUTPUT_CASES[case]
+    out = tmp_path / "out"
+    assert main([arg.format(**inputs) for arg in argv] + ["--out", str(out)]) == 0
+    assert RunManifest.load(out / "manifest.json").outputs == outputs
+    assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
+    if case == "simulate-wd0":
+        summary = (out / "summary.json").read_text()
+        assert '"reconstruction_relative_error": null' in summary
+        assert json.loads(summary)["reconstruction_relative_error"] is None

@@ -1,5 +1,7 @@
 """Rational schedule generation and the inverse coefficient problem."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,20 @@ from lrdual import (
 )
 
 
+def exact_rational(peak, wd, total, warmup):
+    """The rational schedule in exact arithmetic: warmup, then the recurrence."""
+    w = max(warmup, 1)
+    p, d = Fraction(peak), Fraction(wd)
+    lrs = [p * t / w for t in range(1, w + 1)]
+    while len(lrs) < total:
+        lrs.append(lrs[-1] / (1 + lrs[-1] * d))
+    return lrs
+
+
+def max_relative_error(lrs, exact):
+    return float(max(abs(Fraction(float(a)) - b) / b for a, b in zip(lrs, exact)))
+
+
 class TestRationalSchedule:
     def test_harmonic_with_unit_decay(self):
         lrs = rational_schedule(1.0, 1.0, 6, warmup_steps=0)
@@ -30,8 +46,14 @@ class TestRationalSchedule:
     def test_warmup_then_recurrence(self):
         lrs = rational_schedule(0.8, 0.5, 10, warmup_steps=4)
         np.testing.assert_allclose(lrs[:4], 0.8 * np.arange(1, 5) / 4, rtol=1e-15)
-        for t in range(4, 9):
-            assert lrs[t] == lrs[t - 1] / (1.0 + lrs[t - 1] * 0.5)
+        assert max_relative_error(lrs, exact_rational(0.8, 0.5, 10, 4)) < 1e-15
+
+    def test_paper_scale_matches_exact_recurrence(self):
+        # A float recurrence drifts to 1.3e-14 here; the closed form stays
+        # within a few ulps of the exact values.
+        lrs = rational_schedule(2e-3, 0.1, 11752, warmup_steps=1175)
+        assert len(lrs) == 11752
+        assert max_relative_error(lrs, exact_rational(2e-3, 0.1, 11752, 1175)) < 1e-15
 
     def test_uniform_coefficients_after_warmup(self):
         peak, wd, total, warmup = 1.0, 0.5, 100, 10

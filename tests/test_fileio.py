@@ -9,6 +9,7 @@ import pytest
 from lrdual import SmoothingSequence, ValidationError, coefficient_matrix, coefficients_at
 from lrdual.fileio import (
     RunManifest,
+    columns_text,
     fmt17,
     read_multipliers,
     read_points,
@@ -47,6 +48,23 @@ class TestScheduleCsv:
             assert int(step) == idx + 1
             assert float(lr) == lrs[idx]
             assert float(alpha) == alphas[idx]
+
+
+class TestColumnsText:
+    def test_matches_row_by_row_formatting_across_blocks(self):
+        # 10000 rows span three formatting blocks of 4096
+        rng = np.random.default_rng(1)
+        a = 10.0 ** rng.uniform(-300, 300, 10000)
+        b = np.log(rng.random(10000))
+        b[::7] = -np.inf
+        a[::11] = 0.0
+        expected = ["t,a,b"] + [
+            f"{i},{fmt17(x)},{fmt17(y)}" for i, (x, y) in enumerate(zip(a, b), start=1)
+        ]
+        assert columns_text("t,a,b", a, b) == "\n".join(expected) + "\n"
+
+    def test_header_only_without_rows(self):
+        assert columns_text("t,a", np.array([])) == "t,a\n"
 
 
 class TestCoefficientsCsv:

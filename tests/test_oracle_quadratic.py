@@ -34,6 +34,11 @@ class TestQuadraticProblem:
         with pytest.raises(ValidationError):
             QuadraticProblem(dim=2, batch_size=0)
 
+    def test_dim_too_large_to_allocate(self):
+        # numpy refuses 1e20 entries before allocating anything
+        with pytest.raises(DomainError, match="dim=100000000000000000000 is too large"):
+            QuadraticProblem(dim=10**20)
+
 
 class TestGapBound:
     def test_pure_bias_two_steps(self):
@@ -104,6 +109,10 @@ class TestMonteCarlo:
     def test_needs_trials(self):
         with pytest.raises(ValidationError):
             sgd_monte_carlo_gap(np.full(5, 0.1), 1.0, 1.0, 1.0, trials=1, seed=0)
+
+    def test_trials_too_large_to_allocate(self):
+        with pytest.raises(DomainError, match="trials=100000000000000000000 is too large"):
+            sgd_monte_carlo_gap(np.full(5, 0.1), 1.0, 1.0, 1.0, trials=10**20, seed=0)
 
     def test_noiseless_chains_collapse(self):
         lrs = np.full(20, 0.2)
