@@ -86,26 +86,49 @@ def _apply(
     gradient: np.ndarray,
     lr: float,
     config: AdamWConfig,
-) -> Tuple[AdamWState, np.ndarray]:
-    """One AdamW step; returns the new state and the normalized update
-    ``mhat / (sqrt(vhat) + eps)`` actually applied."""
+    theta_out: np.ndarray,
+    direction: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """One AdamW step in place, the only place the update formula lives.
+
+    Advances ``state.m``, ``state.v`` and ``state.step``, writes the new
+    parameters to ``theta_out`` (which may be ``state.theta``) and points
+    ``state.theta`` at it, and writes the normalized update
+    ``mhat / (sqrt(vhat) + eps)`` to ``direction``. ``scratch`` is workspace
+    of the parameters' shape. Overflow is deliberate (divergence is detected
+    from the iterate), so callers hold ``np.errstate(over=..., invalid=...)``.
+    """
     gradient = np.asarray(gradient, dtype=np.float64)
-    if not np.all(np.isfinite(gradient)):
+    if not np.isfinite(gradient).all():
         raise NonFiniteGradientError(
             state.step + 1, f"non-finite gradient at step {state.step + 1}"
         )
     if lr < 0:
         raise DomainError(f"learning rate must be non-negative, got {lr}")
     t = state.step + 1
-    # overflow is deliberate here: divergence is detected from the iterate
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = config.beta1 * state.m + (1.0 - config.beta1) * gradient
-        v = config.beta2 * state.v + (1.0 - config.beta2) * gradient * gradient
-        mhat = m / (1.0 - config.beta1**t)
-        vhat = v / (1.0 - config.beta2**t)
-        direction = mhat / (np.sqrt(vhat) + config.epsilon)
-        theta = (1.0 - lr * config.weight_decay) * state.theta - lr * direction
-    return AdamWState(theta=theta, m=m, v=v, step=t), direction
+    beta1, beta2 = config.beta1, config.beta2
+    m, v = state.m, state.v
+    # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + ((1 - beta2) * g) * g
+    np.multiply(gradient, 1.0 - beta1, out=scratch)
+    m *= beta1
+    m += scratch
+    np.multiply(gradient, 1.0 - beta2, out=scratch)
+    scratch *= gradient
+    v *= beta2
+    v += scratch
+    # direction = (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+    np.divide(v, 1.0 - beta2**t, out=direction)
+    np.sqrt(direction, out=direction)
+    direction += config.epsilon
+    np.divide(m, 1.0 - beta1**t, out=scratch)
+    np.divide(scratch, direction, out=direction)
+    # theta = (1 - lr * wd) * theta - lr * direction
+    np.multiply(direction, lr, out=scratch)
+    np.multiply(state.theta, 1.0 - lr * config.weight_decay, out=theta_out)
+    theta_out -= scratch
+    state.theta = theta_out
+    state.step = t
 
 
 def adamw_step(
@@ -114,9 +137,20 @@ def adamw_step(
     lr: float,
     config: AdamWConfig,
 ) -> AdamWState:
-    """Functional AdamW step with bias-corrected moments."""
-    new_state, _ = _apply(state, gradient, lr, config)
-    return new_state
+    """Functional AdamW step with bias-corrected moments; ``state`` is left
+    unchanged."""
+    new = AdamWState(
+        theta=np.array(state.theta, dtype=np.float64),
+        m=np.array(state.m, dtype=np.float64),
+        v=np.array(state.v, dtype=np.float64),
+        step=state.step,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        _apply(
+            new, gradient, lr, config, new.theta, np.empty_like(new.theta),
+            np.empty_like(new.theta),
+        )
+    return new
 
 
 @dataclass(eq=False)
@@ -164,7 +198,8 @@ def train(
     deterministic in ``seed``), a scripted gradient stream of shape
     (total_steps, dim), or a gradient callable ``(step, theta) -> g`` called
     with the 1-based step and the current parameters, which requires
-    ``theta0``. Raises :class:`DivergenceError` naming the first step at
+    ``theta0``. The parameters it is handed are the recorded row
+    ``thetas[step - 1]``, so it must not write to them. Raises :class:`DivergenceError` naming the first step at
     which parameters became non-finite.
     """
     lrs = lr_curve(spec)
@@ -176,10 +211,17 @@ def train(
         noise_std = math.sqrt(problem.effective_noise_var)
         optimum = problem.theta_star()
 
+        curvature = problem.curvature_vector
+        g = np.empty(dim)
+
         def gradient_at(step: int, theta: np.ndarray) -> np.ndarray:
-            g = problem.curvature_vector * (theta - optimum)
+            # g = curvature * (theta - optimum) + noise_std * z, in place
+            np.subtract(theta, optimum, out=g)
+            np.multiply(g, curvature, out=g)
             if noise_std > 0:
-                g = g + noise_std * normal_field(seed, step, dim)
+                noise = normal_field(seed, step, dim)
+                noise *= noise_std
+                np.add(g, noise, out=g)
             return g
 
     elif callable(problem):
@@ -210,14 +252,24 @@ def train(
     if record_updates:
         updates[0] = start
 
-    state = AdamWState.initial(start)
-    for t in range(1, steps + 1):
-        state, direction = _apply(state, gradient_at(t, state.theta), lrs[t - 1], config)
-        if not np.all(np.isfinite(state.theta)):
-            raise DivergenceError(t, f"parameters became non-finite at step {t}")
-        thetas[t] = state.theta
-        if record_updates:
-            updates[t] = -direction / config.weight_decay
+    state = AdamWState(theta=thetas[0], m=np.zeros(dim), v=np.zeros(dim))
+    direction = np.empty(dim)
+    scratch = np.empty(dim)
+    # overflow is deliberate here: divergence is detected from the iterate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, steps + 1):
+            if record_updates:
+                direction = updates[t]
+            _apply(
+                state, gradient_at(t, state.theta), lrs[t - 1], config, thetas[t],
+                direction, scratch,
+            )
+            if not np.isfinite(state.theta).all():
+                raise DivergenceError(t, f"parameters became non-finite at step {t}")
+            if record_updates:
+                # the moving-average input -direction / wd
+                np.negative(direction, out=direction)
+                direction /= config.weight_decay
 
     return AdamWTrace(
         thetas=thetas,

@@ -169,9 +169,12 @@ def sgd_monte_carlo_gap(
         theta = np.full(trials, math.sqrt(d0))
     for t in range(1, len(lrs) + 1):
         lr = lrs[t - 1]
-        theta = (1.0 - lr * mu) * theta
+        # theta = (1 - lr * mu) * theta - (lr * noise_std) * z, in place
+        theta *= 1.0 - lr * mu
         if noise_std > 0:
-            theta = theta - lr * noise_std * normal_field(seed, t, trials)
+            noise = normal_field(seed, t, trials)
+            noise *= lr * noise_std
+            theta -= noise
     final_sq = theta * theta
     mean = float(final_sq.mean())
     stderr = float(final_sq.std(ddof=1) / math.sqrt(trials))

@@ -1,12 +1,21 @@
 """Counter-based random streams for reproducible, order-independent noise.
 
 Draws are keyed by ``(seed, step)`` through the Philox block cipher, so a
-given step's noise vector does not depend on which steps or sweep cells ran
-before it. Coordinate ``i`` of a step's field is the i-th draw of that
-step's stream.
+given step's noise vector does not depend on which steps ran before it.
+Coordinate ``i`` of a step's field is the i-th draw of that step's stream:
+``normal_field(seed, step, n)`` equals
+``Generator(Philox(key=[seed, step])).standard_normal(n)`` bit for bit.
+
+Seed and step are the two 64-bit words of the Philox key, so each must lie
+in [0, 2**64); values outside are refused rather than wrapped, because a
+wrapped seed would silently replay another seed's stream. Each thread keeps
+one generator and resets its key, counter and buffer on every call instead
+of building a new one.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -14,13 +23,29 @@ from ..errors import ValidationError
 
 __all__ = ["normal_field", "derive_seed"]
 
-_MASK64 = (1 << 64) - 1
+_KEY_END = 1 << 64
+_ZEROS = (0, 0, 0, 0)
+_local = threading.local()
 
 
 def normal_field(seed: int, step: int, n: int) -> np.ndarray:
     """Standard-normal vector of length ``n`` for (seed, step)."""
-    key = np.array([seed & _MASK64, step & _MASK64], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    if not (0 <= seed < _KEY_END and 0 <= step < _KEY_END):
+        raise ValidationError(
+            f"seed and step must be in [0, 2**64), got seed={seed}, step={step}"
+        )
+    gen = _local.__dict__.get("generator")
+    if gen is None:
+        gen = _local.generator = np.random.Generator(np.random.Philox(0))
+    # the state of a freshly keyed Philox: counter 0, empty buffer
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": (seed, step)},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     return gen.standard_normal(n)
 
 

@@ -239,6 +239,16 @@ class TestSimulate:
         assert lines[0].startswith("lrdual: domain error: dim=")
         assert lines[0].endswith("too large to allocate: Maximum allowed dimension exceeded")
 
+    def test_seed_beyond_64_bits_is_one_validation_line(self, tmp_path, capsys):
+        # 2**64 used to be masked to 0 and replay seed 0's noise
+        argv = ["simulate", "--steps", "50", "--dim", "3", "--sigma2", "1"]
+        assert run(tmp_path, *argv, "--seed", str(2**64)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("lrdual: validation error:")
+        assert not (tmp_path / "manifest.json").exists()
+        assert run(tmp_path / "top", *argv, "--seed", str(2**64 - 1)) == 0
+
     def test_divergence_exits_3(self, tmp_path):
         code = run(
             tmp_path,
@@ -295,6 +305,14 @@ class TestSweep:
         assert main(["sweep", "--config", str(config), "--mode", "monte-carlo",
                      "--seed", "9", "--jobs", "4", "--out", str(out2)]) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+    def test_seed_beyond_64_bits_accepted(self, tmp_path):
+        # cell seeds are hashed from the base seed, so any size works
+        config = self._write_config(tmp_path)
+        assert run(tmp_path, "sweep", "--config", str(config), "--mode", "monte-carlo",
+                   "--seed", str(2**64)) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["base_seed"] == 2**64
 
     def test_jobs_below_one_exits_1(self, tmp_path, capsys):
         config = self._write_config(tmp_path)

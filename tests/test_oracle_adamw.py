@@ -1,5 +1,6 @@
 """Reference AdamW semantics and the update-combination reconstruction."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -79,6 +80,28 @@ class TestAdamWStep:
         with pytest.raises(DomainError):
             adamw_step(state, np.ones(1), -0.1, AdamWConfig())
 
+    def test_input_state_is_left_unchanged(self):
+        state = AdamWState.initial(np.array([0.5, -1.0, 2.0]))
+        state = adamw_step(state, np.array([1.0, 2.0, -3.0]), 0.1, AdamWConfig())
+        before = (state.theta.copy(), state.m.copy(), state.v.copy(), state.step)
+        new = adamw_step(state, np.array([-0.5, 4.0, 0.25]), 0.05, AdamWConfig())
+        for kept, now in zip(before[:3], (state.theta, state.m, state.v)):
+            assert np.array_equal(kept, now)
+        assert state.step == before[3] == 1
+        assert new.step == 2
+        for a, b in ((new.theta, state.theta), (new.m, state.m), (new.v, state.v)):
+            assert not np.shares_memory(a, b)
+
+    def test_functional_steps_equal_train(self):
+        grads = np.random.default_rng(4).standard_normal((40, 3))
+        spec = spec_of(total=40, warmup=4)
+        config = AdamWConfig(weight_decay=0.3)
+        trace = train(grads, spec, config, theta0=np.array([1.0, -2.0, 0.5]))
+        state = AdamWState.initial(trace.thetas[0])
+        for t, (g, lr) in enumerate(zip(grads, trace.lrs), start=1):
+            state = adamw_step(state, g, lr, config)
+            assert np.array_equal(state.theta, trace.thetas[t])
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             AdamWConfig(beta1=1.0)
@@ -141,6 +164,20 @@ class TestTrain:
         )
         assert np.array_equal(called.thetas, expected.thetas)
 
+    def test_callable_keeps_the_parameters_it_is_handed(self):
+        # every theta passed to the gradient must stay as it was handed over
+        seen = []
+        problem = QuadraticProblem(dim=3, curvature=1.5, noise_var=0.0, theta0_dist_sq=2.0)
+        optimum = problem.theta_star()
+
+        def gradient(step, theta):
+            seen.append(theta)
+            return problem.curvature_vector * (theta - optimum)
+
+        trace = train(gradient, spec_of(total=30, warmup=3), AdamWConfig(), theta0=problem.theta0())
+        assert len(seen) == 30
+        assert np.array_equal(np.array(seen), trace.thetas[:-1])
+
     def test_callable_needs_theta0(self):
         with pytest.raises(ValidationError):
             train(lambda step, theta: np.zeros(2), spec_of(), AdamWConfig())
@@ -165,6 +202,39 @@ class TestTrain:
             trace.smoothing()
         with pytest.raises(DomainError):
             reconstruct_from_updates(trace, None)
+
+
+class TestBitPins:
+    """Digests of traces recorded before the update became in place; any
+    reordering of the floating-point operations changes them."""
+
+    SPEC = dict(total=300, warmup=30)
+
+    @staticmethod
+    def digest(array):
+        return hashlib.sha256(array.tobytes()).hexdigest()
+
+    def test_weight_decay_trace(self):
+        trace = train(
+            QuadraticProblem(dim=5, noise_var=0.5), spec_of(**self.SPEC),
+            AdamWConfig(weight_decay=0.1), seed=3,
+        )
+        assert self.digest(trace.thetas) == (
+            "061c6564efcfc327c49ab7d0e82c0111fe405838c25d9e2d54e08fc12c38b5ab"
+        )
+        assert self.digest(trace.updates) == (
+            "d9f1cb32244c17ca1ce155c6ba220eea8a6b8408580130137c78305f90c69ff8"
+        )
+
+    def test_zero_weight_decay_trace(self):
+        trace = train(
+            QuadraticProblem(dim=5, noise_var=0.5), spec_of(**self.SPEC),
+            AdamWConfig(weight_decay=0.0), seed=3,
+        )
+        assert self.digest(trace.thetas) == (
+            "0f573532b4c48d28cf6f334f4849cd7d93a0db007d3b0f4d42b21c517c25ade8"
+        )
+        assert trace.updates is None
 
 
 class TestReconstruction:

@@ -106,6 +106,13 @@ class TestMonteCarlo:
         c = sgd_monte_carlo_gap(lrs, 1.0, 1.0, 1.0, trials=64, seed=6)
         assert a != c
 
+    def test_bit_pin(self):
+        # recorded before the chain update became in place; any reordering
+        # of its floating-point operations changes the repr
+        lrs = np.linspace(0.05, 0.001, 300)
+        result = sgd_monte_carlo_gap(lrs, 1.0, 0.7, 1.5, trials=500, seed=11)
+        assert repr(result) == "(0.0038783169478009095, 0.0002493231851922123)"
+
     def test_needs_trials(self):
         with pytest.raises(ValidationError):
             sgd_monte_carlo_gap(np.full(5, 0.1), 1.0, 1.0, 1.0, trials=1, seed=0)
