@@ -39,9 +39,9 @@ from .oracle import (
     AdamWConfig,
     QuadraticProblem,
     SweepGrid,
-    reconstruct_from_updates,
+    reconstruct,
     run_noise_sweep,
-    train,
+    stream,
 )
 from .scaling import fit_power_law
 from .schedules import (
@@ -245,7 +245,6 @@ def _cmd_rational(args):
 
 def _cmd_simulate(args):
     spec = _spec_from_args(args)
-    out = _out_dir(args)
     problem = QuadraticProblem(
         dim=args.dim,
         curvature=args.mu,
@@ -256,15 +255,37 @@ def _cmd_simulate(args):
     config = AdamWConfig(
         weight_decay=args.wd, beta1=args.beta1, beta2=args.beta2, epsilon=args.eps
     )
-    trace = train(problem, spec, config, seed=args.seed)
-    dist_sq = np.sum((trace.thetas[1:] - problem.theta_star()) ** 2, axis=1)
-    write_text_file(
-        out / "trace.csv",
-        columns_text("step,lr,alpha,dist_sq", trace.lrs, trace.lrs * args.wd, dist_sq),
-    )
-    rel_err = None
+    lrs = lr_curve(spec)
+    alphas = lrs * args.wd
+    # The coefficients depend only on the schedule: computing them first
+    # refuses peak * wd > 1 before anything is trained or written.
+    coeffs = None
     if args.wd > 0:
-        _, rel_err = reconstruct_from_updates(trace, coefficients_at(trace.smoothing()))
+        coeffs = coefficients_at(SmoothingSequence(np.concatenate([[1.0], alphas])))
+    out = _out_dir(args)
+    optimum = problem.theta_star()
+    dist_sq = np.empty(spec.total_steps)
+    diff = np.empty(args.dim)
+
+    def rows():
+        for t, theta, x in stream(problem, spec, config, seed=args.seed):
+            if t:
+                np.subtract(theta, optimum, out=diff)
+                np.square(diff, out=diff)
+                dist_sq[t - 1] = diff.sum()
+            yield theta, x
+
+    rel_err = None
+    # a squared distance past the float range is reported as inf
+    with np.errstate(over="ignore"):
+        if coeffs is None:
+            for _ in rows():
+                pass
+        else:
+            _, rel_err = reconstruct(coeffs.c, rows())
+    write_text_file(
+        out / "trace.csv", columns_text("step,lr,alpha,dist_sq", lrs, alphas, dist_sq)
+    )
     summary = {
         "final_dist_sq": dist_sq[-1],
         "reconstruction_relative_error": rel_err,

@@ -5,7 +5,9 @@ from .adamw import (
     AdamWState,
     AdamWTrace,
     adamw_step,
+    reconstruct,
     reconstruct_from_updates,
+    stream,
     train,
 )
 from .probe import order_fit_probe
@@ -25,7 +27,9 @@ __all__ = [
     "AdamWState",
     "AdamWTrace",
     "adamw_step",
+    "stream",
     "train",
+    "reconstruct",
     "reconstruct_from_updates",
     "QuadraticProblem",
     "GapBound",

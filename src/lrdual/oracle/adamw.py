@@ -10,13 +10,22 @@ recorded trace therefore satisfies ``theta_T = sum_i c_{T,i} X_i`` exactly,
 where ``X`` is the update list shifted by one so the initial parameters sit
 at index 1 with smoothing 1, and ``c`` are the dual coefficients of the
 realized smoothing sequence.
+
+The coefficients depend only on the schedule, so they are known before
+training starts and the sum can be built as training runs. One loop serves
+three consumers: :func:`train` records every iterate and update (the test
+reference, O(T * dim) memory); :func:`stream` yields each step from a
+two-row ring, which the ``simulate`` command feeds to :func:`reconstruct`
+for the online sum in O(T + dim) memory; the order probe keeps only the
+final parameters. A gradient callable is handed the previous parameters as
+a row of the loop's own table and must not write to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,7 +45,9 @@ __all__ = [
     "AdamWState",
     "AdamWTrace",
     "adamw_step",
+    "stream",
     "train",
+    "reconstruct",
     "reconstruct_from_updates",
 ]
 
@@ -100,6 +111,11 @@ def _apply(
     from the iterate), so callers hold ``np.errstate(over=..., invalid=...)``.
     """
     gradient = np.asarray(gradient, dtype=np.float64)
+    if gradient.shape != state.theta.shape:
+        raise ValidationError(
+            f"gradient at step {state.step + 1} has shape {gradient.shape}, "
+            f"the parameters {state.theta.shape}"
+        )
     if not np.isfinite(gradient).all():
         raise NonFiniteGradientError(
             state.step + 1, f"non-finite gradient at step {state.step + 1}"
@@ -185,32 +201,32 @@ class AdamWTrace:
         )
 
 
-def train(
-    problem: Union[QuadraticProblem, np.ndarray, Callable[[int, np.ndarray], np.ndarray]],
-    spec: ScheduleSpec,
+Problem = Union[QuadraticProblem, np.ndarray, Callable[[int, np.ndarray], np.ndarray]]
+
+
+def _steps(
+    problem: Problem,
+    lrs: np.ndarray,
     config: AdamWConfig,
-    seed: int = 0,
-    theta0: Optional[np.ndarray] = None,
-) -> AdamWTrace:
-    """Run AdamW for ``spec.total_steps`` steps and record the trajectory.
+    seed: int,
+    theta0: Optional[np.ndarray],
+    rows: int,
+) -> Iterator[Tuple[int, np.ndarray, Optional[np.ndarray]]]:
+    """The AdamW loop, shared by every consumer.
 
-    ``problem`` is a :class:`QuadraticProblem` (noisy quadratic gradients,
-    deterministic in ``seed``), a scripted gradient stream of shape
-    (total_steps, dim), or a gradient callable ``(step, theta) -> g`` called
-    with the 1-based step and the current parameters, which requires
-    ``theta0``. The parameters it is handed are the recorded row
-    ``thetas[step - 1]``, so it must not write to them. Raises :class:`DivergenceError` naming the first step at
-    which parameters became non-finite.
+    Yields ``(t, thetas, updates)`` for t = 0..T. The tables have ``rows``
+    rows used as a ring: after step t, ``thetas[t % rows]`` holds the
+    parameters and ``updates[t % rows]`` the moving-average input (both the
+    initialization at t = 0); ``updates`` is ``None`` when weight decay is
+    zero. ``rows = T + 1`` records the whole run, ``rows = 2`` only the last
+    two steps. The gradient is handed the row ``thetas[(t - 1) % rows]``.
     """
-    lrs = lr_curve(spec)
-    steps = spec.total_steps
-
+    steps = len(lrs)
     if isinstance(problem, QuadraticProblem):
+        start = problem.theta0() if theta0 is None else theta0
         dim = problem.dim
-        start = problem.theta0() if theta0 is None else np.asarray(theta0, np.float64)
         noise_std = math.sqrt(problem.effective_noise_var)
         optimum = problem.theta_star()
-
         curvature = problem.curvature_vector
         g = np.empty(dim)
 
@@ -227,10 +243,7 @@ def train(
     elif callable(problem):
         if theta0 is None:
             raise ValidationError("a gradient callable needs an explicit theta0")
-        start = np.asarray(theta0, np.float64)
-        if start.ndim != 1:
-            raise ValidationError(f"theta0 must be a vector, got shape {start.shape}")
-        dim = start.shape[0]
+        start = theta0
         gradient_at = problem
 
     else:
@@ -239,44 +252,125 @@ def train(
             raise ValidationError(
                 f"scripted gradients must have shape ({steps}, dim), got {scripted.shape}"
             )
-        dim = scripted.shape[1]
-        start = np.zeros(dim) if theta0 is None else np.asarray(theta0, np.float64)
+        start = np.zeros(scripted.shape[1]) if theta0 is None else theta0
 
         def gradient_at(step: int, theta: np.ndarray) -> np.ndarray:
             return scripted[step - 1]
 
-    record_updates = config.weight_decay > 0
-    thetas = np.empty((steps + 1, dim))
+    start = np.asarray(start, dtype=np.float64)
+    if start.ndim != 1:
+        raise ValidationError(f"theta0 must be a vector, got shape {start.shape}")
+    if isinstance(problem, QuadraticProblem) and start.shape != (problem.dim,):
+        raise ValidationError(
+            f"theta0 has shape {start.shape} but the problem has dim={problem.dim}"
+        )
+    dim = len(start)
+    thetas = np.empty((rows, dim))
     thetas[0] = start
-    updates = np.empty((steps + 1, dim)) if record_updates else None
-    if record_updates:
+    updates = None
+    direction = np.empty(dim)
+    if config.weight_decay > 0:
+        updates = np.empty((rows, dim))
         updates[0] = start
+    yield 0, thetas, updates
 
     state = AdamWState(theta=thetas[0], m=np.zeros(dim), v=np.zeros(dim))
-    direction = np.empty(dim)
     scratch = np.empty(dim)
-    # overflow is deliberate here: divergence is detected from the iterate
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, steps + 1):
-            if record_updates:
-                direction = updates[t]
+    for t in range(1, steps + 1):
+        row = t % rows
+        if updates is not None:
+            direction = updates[row]
+        # overflow is deliberate here: divergence is detected from the iterate
+        with np.errstate(over="ignore", invalid="ignore"):
             _apply(
-                state, gradient_at(t, state.theta), lrs[t - 1], config, thetas[t],
+                state, gradient_at(t, state.theta), lrs[t - 1], config, thetas[row],
                 direction, scratch,
             )
             if not np.isfinite(state.theta).all():
                 raise DivergenceError(t, f"parameters became non-finite at step {t}")
-            if record_updates:
+            if updates is not None:
                 # the moving-average input -direction / wd
                 np.negative(direction, out=direction)
                 direction /= config.weight_decay
+        yield t, thetas, updates
 
+
+def stream(
+    problem: Problem,
+    spec: ScheduleSpec,
+    config: AdamWConfig,
+    seed: int = 0,
+    theta0: Optional[np.ndarray] = None,
+) -> Iterator[Tuple[int, np.ndarray, Optional[np.ndarray]]]:
+    """Run AdamW like :func:`train` but yield each step instead of recording it.
+
+    Yields ``(t, theta_t, x_t)`` for t = 0..T: the parameters after step t
+    and the moving-average input of step t (``x_0 = theta_0``; ``x_t`` is
+    ``None`` when weight decay is zero). Only two rows of each are held, so
+    the yielded arrays, and the parameters a gradient callable is handed,
+    are overwritten two steps later; copy what must outlive that. Memory is
+    O(dim) whatever T is.
+    """
+    for t, thetas, updates in _steps(problem, lr_curve(spec), config, seed, theta0, 2):
+        yield t, thetas[t % 2], None if updates is None else updates[t % 2]
+
+
+def train(
+    problem: Problem,
+    spec: ScheduleSpec,
+    config: AdamWConfig,
+    seed: int = 0,
+    theta0: Optional[np.ndarray] = None,
+) -> AdamWTrace:
+    """Run AdamW for ``spec.total_steps`` steps and record the trajectory.
+
+    ``problem`` is a :class:`QuadraticProblem` (noisy quadratic gradients,
+    deterministic in ``seed``), a scripted gradient stream of shape
+    (total_steps, dim), or a gradient callable ``(step, theta) -> g`` called
+    with the 1-based step and the current parameters, which requires
+    ``theta0``. The parameters it is handed are the recorded row
+    ``thetas[step - 1]``, so it must not write to them, and its gradient
+    must have their shape. Raises :class:`DivergenceError` naming the first
+    step at which parameters became non-finite.
+
+    :func:`stream` runs the same loop without recording; this is the
+    reference it is tested against, bit for bit.
+    """
+    lrs = lr_curve(spec)
+    for _, thetas, updates in _steps(problem, lrs, config, seed, theta0, len(lrs) + 1):
+        pass
     return AdamWTrace(
         thetas=thetas,
         updates=updates,
         lrs=lrs,
         weight_decay=config.weight_decay,
     )
+
+
+def reconstruct(
+    c: np.ndarray, rows: Iterable[Tuple[np.ndarray, np.ndarray]]
+) -> Tuple[np.ndarray, float]:
+    """Accumulate ``theta_hat = sum_i c[i] x_i`` online, in input order.
+
+    ``rows`` yields ``(theta_t, x_t)`` for t = 0..T, as :func:`stream` does
+    (recorded rows work as well), and must yield exactly ``len(c)`` rows.
+    Each row is read once, as it arrives. Returns ``(theta_hat,
+    relative_error)``, the error comparing against the last ``theta_t``.
+    """
+    theta_hat = scratch = theta = None
+    n = 0
+    for n, (theta, x) in enumerate(rows, start=1):
+        if theta_hat is None:
+            theta_hat = np.zeros_like(x)
+            scratch = np.empty_like(x)
+        np.multiply(x, c[n - 1], out=scratch)
+        theta_hat += scratch
+    if n != len(c):
+        raise ValidationError(f"coefficients cover {len(c)} inputs but {n} rows arrived")
+    norm = float(np.linalg.norm(theta))
+    err = float(np.linalg.norm(theta_hat - theta))
+    relative_error = err if norm == 0.0 else err / norm
+    return theta_hat, relative_error
 
 
 def reconstruct_from_updates(
@@ -287,7 +381,8 @@ def reconstruct_from_updates(
 
     ``coeffs`` must come from the trace's realized smoothing sequence.
     Returns ``(theta_hat, relative_error)`` where the error compares against
-    the recorded final parameters.
+    the recorded final parameters. The sum is :func:`reconstruct` run over
+    the recorded rows, so it matches a streamed run bit for bit.
     """
     if trace.weight_decay == 0:
         raise DomainError(
@@ -300,9 +395,4 @@ def reconstruct_from_updates(
         raise ValidationError(
             f"coefficients cover {coeffs.t} inputs but the trace has {n_inputs}"
         )
-    theta_hat = coeffs.c @ trace.updates
-    theta_final = trace.thetas[-1]
-    norm = float(np.linalg.norm(theta_final))
-    err = float(np.linalg.norm(theta_hat - theta_final))
-    relative_error = err if norm == 0.0 else err / norm
-    return theta_hat, relative_error
+    return reconstruct(coeffs.c, zip(trace.thetas, trace.updates))

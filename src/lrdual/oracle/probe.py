@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..schedules import ScheduleSpec
-from .adamw import AdamWConfig, train
+from .adamw import AdamWConfig, stream
 from .rng import derive_seed
 
 __all__ = ["order_fit_probe"]
@@ -60,7 +60,8 @@ def order_fit_probe(
         residual = x[step - 1] @ theta - y[step - 1]
         return 2.0 * (x[step - 1].T @ residual) / batch_size
 
-    theta = train(gradient, spec, config, theta0=np.zeros(dim)).thetas[-1]
+    for _, theta, _ in stream(gradient, spec, config, theta0=np.zeros(dim)):
+        pass
 
     losses = np.empty(num_segments)
     for k in range(num_segments):

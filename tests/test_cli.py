@@ -249,13 +249,35 @@ class TestSimulate:
         assert not (tmp_path / "manifest.json").exists()
         assert run(tmp_path / "top", *argv, "--seed", str(2**64 - 1)) == 0
 
-    def test_divergence_exits_3(self, tmp_path):
+    def test_divergence_exits_3(self, tmp_path, capsys):
+        # lr = 1e308 throws theta to -1e308 in one step and the steep
+        # gradient overflows; wd = 0 keeps lr * wd inside [0, 1]
         code = run(
             tmp_path,
             "simulate", "--kind", "constant", "--steps", "3000", "--warmup", "0",
-            "--peak-base", "50.0", "--wd", "0.1",
+            "--peak-base", "1e308", "--wd", "0", "--mu", "10",
         )
         assert code == 3
+        assert capsys.readouterr().err == "lrdual: divergence: non-finite gradient at step 2\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # used to write trace.csv, then exit 2 without a manifest
+            (["--steps", "200", "--dim", "3", "--sigma2", "0.5", "--peak-base", "20"],
+             "alpha_12=1.1 outside [0, 1]"),
+            # used to train until the iterate diverged and exit 3 at step 422
+            (["--steps", "2000", "--peak-base", "100"], "alpha_22=1.05 outside [0, 1]"),
+            # used to exit 3 at the first steps
+            (["--kind", "constant", "--steps", "3000", "--warmup", "0",
+              "--peak-base", "50.0", "--wd", "0.1"], "alpha_2=5.0 outside [0, 1]"),
+        ],
+    )
+    def test_peak_alpha_above_one_exits_2_before_writing(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run(out, "simulate", *argv) == 2
+        assert capsys.readouterr().err == f"lrdual: domain error: {message}\n"
+        assert not out.exists()
 
 
 class TestSweep:

@@ -75,6 +75,11 @@ class TestAdamWStep:
         with pytest.raises(NonFiniteGradientError):
             adamw_step(state, np.array([1.0, np.nan]), 0.1, AdamWConfig())
 
+    def test_gradient_of_another_length_rejected(self):
+        state = AdamWState.initial(np.zeros(3))
+        with pytest.raises(ValidationError, match="shape"):
+            adamw_step(state, np.ones(4), lr=0.01, config=AdamWConfig())
+
     def test_negative_lr_rejected(self):
         state = AdamWState.initial(np.zeros(1))
         with pytest.raises(DomainError):
@@ -185,6 +190,18 @@ class TestTrain:
     def test_scripted_stream_shape_checked(self):
         with pytest.raises(ValidationError):
             train(np.zeros((7, 2)), spec_of(total=50, warmup=5), AdamWConfig())
+
+    def test_callable_gradient_of_another_length_rejected(self):
+        with pytest.raises(ValidationError, match="shape"):
+            train(lambda step, theta: np.ones(4), spec_of(), AdamWConfig(), theta0=np.zeros(3))
+
+    def test_scripted_gradient_of_another_length_rejected(self):
+        with pytest.raises(ValidationError, match="shape"):
+            train(np.ones((50, 4)), spec_of(), AdamWConfig(), theta0=np.zeros(3))
+
+    def test_quadratic_theta0_of_another_length_rejected(self):
+        with pytest.raises(ValidationError, match="dim=5"):
+            train(QuadraticProblem(dim=5), spec_of(), AdamWConfig(), theta0=np.zeros(3))
 
     def test_divergence_reports_first_bad_step(self):
         # lr * wd > 2 flips the decay factor below -1 and the iterate blows up
