@@ -262,7 +262,6 @@ def _cmd_simulate(args):
     coeffs = None
     if args.wd > 0:
         coeffs = coefficients_at(SmoothingSequence(np.concatenate([[1.0], alphas])))
-    out = _out_dir(args)
     optimum = problem.theta_star()
     dist_sq = np.empty(spec.total_steps)
     diff = np.empty(args.dim)
@@ -283,6 +282,7 @@ def _cmd_simulate(args):
                 pass
         else:
             _, rel_err = reconstruct(coeffs.c, rows())
+    out = _out_dir(args)
     write_text_file(
         out / "trace.csv", columns_text("step,lr,alpha,dist_sq", lrs, alphas, dist_sq)
     )
@@ -350,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual", help="emit dual coefficients of a schedule")
     _common_flags(p)
     _schedule_flags(p)
-    p.add_argument("--at-step", type=int, default=None, help="coefficients after this step")
-    p.add_argument("--matrix", action="store_true", help="emit the full per-step table")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--at-step", type=int, default=None, help="coefficients after this step")
+    which.add_argument("--matrix", action="store_true", help="emit the full per-step table")
     p.set_defaults(handler=_cmd_dual)
 
     p = sub.add_parser("design", help="invert a target coefficient profile")

@@ -2,9 +2,7 @@
 
 from .adamw import (
     AdamWConfig,
-    AdamWState,
     AdamWTrace,
-    adamw_step,
     reconstruct,
     reconstruct_from_updates,
     stream,
@@ -24,9 +22,7 @@ from .sweep import SweepCellResult, SweepGrid, SweepSchedule, run_noise_sweep
 
 __all__ = [
     "AdamWConfig",
-    "AdamWState",
     "AdamWTrace",
-    "adamw_step",
     "stream",
     "train",
     "reconstruct",

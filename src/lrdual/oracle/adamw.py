@@ -11,14 +11,18 @@ where ``X`` is the update list shifted by one so the initial parameters sit
 at index 1 with smoothing 1, and ``c`` are the dual coefficients of the
 realized smoothing sequence.
 
+The update formula lives in one place, the body of the private loop
+``_steps``. Its problem is a :class:`QuadraticProblem` or a gradient
+callable ``(step, theta) -> g``; the callable is handed the previous
+parameters as a row of the loop's own table and must not write to it.
+
 The coefficients depend only on the schedule, so they are known before
-training starts and the sum can be built as training runs. One loop serves
+training starts and the sum can be built as training runs. The loop serves
 three consumers: :func:`train` records every iterate and update (the test
 reference, O(T * dim) memory); :func:`stream` yields each step from a
 two-row ring, which the ``simulate`` command feeds to :func:`reconstruct`
 for the online sum in O(T + dim) memory; the order probe keeps only the
-final parameters. A gradient callable is handed the previous parameters as
-a row of the loop's own table and must not write to it.
+final parameters.
 """
 
 from __future__ import annotations
@@ -42,9 +46,7 @@ from .rng import normal_field
 
 __all__ = [
     "AdamWConfig",
-    "AdamWState",
     "AdamWTrace",
-    "adamw_step",
     "stream",
     "train",
     "reconstruct",
@@ -70,103 +72,6 @@ class AdamWConfig:
             raise ValidationError(f"beta2 must be in [0, 1), got {self.beta2}")
         if not (self.epsilon > 0.0):
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
-
-
-@dataclass
-class AdamWState:
-    """Parameters plus first/second moment accumulators after ``step`` steps."""
-
-    theta: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-
-    @classmethod
-    def initial(cls, theta0: np.ndarray) -> "AdamWState":
-        theta0 = np.asarray(theta0, dtype=np.float64)
-        return cls(
-            theta=theta0.copy(),
-            m=np.zeros_like(theta0),
-            v=np.zeros_like(theta0),
-            step=0,
-        )
-
-
-def _apply(
-    state: AdamWState,
-    gradient: np.ndarray,
-    lr: float,
-    config: AdamWConfig,
-    theta_out: np.ndarray,
-    direction: np.ndarray,
-    scratch: np.ndarray,
-) -> None:
-    """One AdamW step in place, the only place the update formula lives.
-
-    Advances ``state.m``, ``state.v`` and ``state.step``, writes the new
-    parameters to ``theta_out`` (which may be ``state.theta``) and points
-    ``state.theta`` at it, and writes the normalized update
-    ``mhat / (sqrt(vhat) + eps)`` to ``direction``. ``scratch`` is workspace
-    of the parameters' shape. Overflow is deliberate (divergence is detected
-    from the iterate), so callers hold ``np.errstate(over=..., invalid=...)``.
-    """
-    gradient = np.asarray(gradient, dtype=np.float64)
-    if gradient.shape != state.theta.shape:
-        raise ValidationError(
-            f"gradient at step {state.step + 1} has shape {gradient.shape}, "
-            f"the parameters {state.theta.shape}"
-        )
-    if not np.isfinite(gradient).all():
-        raise NonFiniteGradientError(
-            state.step + 1, f"non-finite gradient at step {state.step + 1}"
-        )
-    if lr < 0:
-        raise DomainError(f"learning rate must be non-negative, got {lr}")
-    t = state.step + 1
-    beta1, beta2 = config.beta1, config.beta2
-    m, v = state.m, state.v
-    # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + ((1 - beta2) * g) * g
-    np.multiply(gradient, 1.0 - beta1, out=scratch)
-    m *= beta1
-    m += scratch
-    np.multiply(gradient, 1.0 - beta2, out=scratch)
-    scratch *= gradient
-    v *= beta2
-    v += scratch
-    # direction = (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
-    np.divide(v, 1.0 - beta2**t, out=direction)
-    np.sqrt(direction, out=direction)
-    direction += config.epsilon
-    np.divide(m, 1.0 - beta1**t, out=scratch)
-    np.divide(scratch, direction, out=direction)
-    # theta = (1 - lr * wd) * theta - lr * direction
-    np.multiply(direction, lr, out=scratch)
-    np.multiply(state.theta, 1.0 - lr * config.weight_decay, out=theta_out)
-    theta_out -= scratch
-    state.theta = theta_out
-    state.step = t
-
-
-def adamw_step(
-    state: AdamWState,
-    gradient: np.ndarray,
-    lr: float,
-    config: AdamWConfig,
-) -> AdamWState:
-    """Functional AdamW step with bias-corrected moments; ``state`` is left
-    unchanged."""
-    new = AdamWState(
-        theta=np.array(state.theta, dtype=np.float64),
-        m=np.array(state.m, dtype=np.float64),
-        v=np.array(state.v, dtype=np.float64),
-        step=state.step,
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        _apply(
-            new, gradient, lr, config, new.theta, np.empty_like(new.theta),
-            np.empty_like(new.theta),
-        )
-    return new
 
 
 @dataclass(eq=False)
@@ -201,7 +106,7 @@ class AdamWTrace:
         )
 
 
-Problem = Union[QuadraticProblem, np.ndarray, Callable[[int, np.ndarray], np.ndarray]]
+Problem = Union[QuadraticProblem, Callable[[int, np.ndarray], np.ndarray]]
 
 
 def _steps(
@@ -212,8 +117,10 @@ def _steps(
     theta0: Optional[np.ndarray],
     rows: int,
 ) -> Iterator[Tuple[int, np.ndarray, Optional[np.ndarray]]]:
-    """The AdamW loop, shared by every consumer.
+    """The AdamW loop, shared by every consumer, and the one AdamW update.
 
+    ``problem`` is a :class:`QuadraticProblem` or a gradient callable
+    ``(step, theta) -> g``; anything else raises :class:`ValidationError`.
     Yields ``(t, thetas, updates)`` for t = 0..T. The tables have ``rows``
     rows used as a ring: after step t, ``thetas[t % rows]`` holds the
     parameters and ``updates[t % rows]`` the moving-average input (both the
@@ -247,15 +154,10 @@ def _steps(
         gradient_at = problem
 
     else:
-        scripted = np.asarray(problem, dtype=np.float64)
-        if scripted.ndim != 2 or scripted.shape[0] != steps:
-            raise ValidationError(
-                f"scripted gradients must have shape ({steps}, dim), got {scripted.shape}"
-            )
-        start = np.zeros(scripted.shape[1]) if theta0 is None else theta0
-
-        def gradient_at(step: int, theta: np.ndarray) -> np.ndarray:
-            return scripted[step - 1]
+        raise ValidationError(
+            "problem must be a QuadraticProblem or a gradient callable "
+            f"(step, theta) -> g, got {type(problem).__name__}"
+        )
 
     start = np.asarray(start, dtype=np.float64)
     if start.ndim != 1:
@@ -274,24 +176,52 @@ def _steps(
         updates[0] = start
     yield 0, thetas, updates
 
-    state = AdamWState(theta=thetas[0], m=np.zeros(dim), v=np.zeros(dim))
+    beta1, beta2, eps, wd = config.beta1, config.beta2, config.epsilon, config.weight_decay
+    m = np.zeros(dim)
+    v = np.zeros(dim)
     scratch = np.empty(dim)
+    theta = thetas[0]
     for t in range(1, steps + 1):
         row = t % rows
+        theta_new = thetas[row]
         if updates is not None:
             direction = updates[row]
+        lr = lrs[t - 1]
         # overflow is deliberate here: divergence is detected from the iterate
         with np.errstate(over="ignore", invalid="ignore"):
-            _apply(
-                state, gradient_at(t, state.theta), lrs[t - 1], config, thetas[row],
-                direction, scratch,
-            )
-            if not np.isfinite(state.theta).all():
+            gradient = np.asarray(gradient_at(t, theta), dtype=np.float64)
+            if gradient.shape != theta.shape:
+                raise ValidationError(
+                    f"gradient at step {t} has shape {gradient.shape}, "
+                    f"the parameters {theta.shape}"
+                )
+            if not np.isfinite(gradient).all():
+                raise NonFiniteGradientError(t, f"non-finite gradient at step {t}")
+            # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + ((1 - beta2) * g) * g
+            np.multiply(gradient, 1.0 - beta1, out=scratch)
+            m *= beta1
+            m += scratch
+            np.multiply(gradient, 1.0 - beta2, out=scratch)
+            scratch *= gradient
+            v *= beta2
+            v += scratch
+            # direction = (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+            np.divide(v, 1.0 - beta2**t, out=direction)
+            np.sqrt(direction, out=direction)
+            direction += eps
+            np.divide(m, 1.0 - beta1**t, out=scratch)
+            np.divide(scratch, direction, out=direction)
+            # theta = (1 - lr * wd) * theta - lr * direction
+            np.multiply(direction, lr, out=scratch)
+            np.multiply(theta, 1.0 - lr * wd, out=theta_new)
+            theta_new -= scratch
+            if not np.isfinite(theta_new).all():
                 raise DivergenceError(t, f"parameters became non-finite at step {t}")
             if updates is not None:
                 # the moving-average input -direction / wd
                 np.negative(direction, out=direction)
-                direction /= config.weight_decay
+                direction /= wd
+        theta = theta_new
         yield t, thetas, updates
 
 
@@ -325,13 +255,14 @@ def train(
     """Run AdamW for ``spec.total_steps`` steps and record the trajectory.
 
     ``problem`` is a :class:`QuadraticProblem` (noisy quadratic gradients,
-    deterministic in ``seed``), a scripted gradient stream of shape
-    (total_steps, dim), or a gradient callable ``(step, theta) -> g`` called
-    with the 1-based step and the current parameters, which requires
-    ``theta0``. The parameters it is handed are the recorded row
-    ``thetas[step - 1]``, so it must not write to them, and its gradient
-    must have their shape. Raises :class:`DivergenceError` naming the first
-    step at which parameters became non-finite.
+    deterministic in ``seed``) or a gradient callable ``(step, theta) -> g``
+    called with the 1-based step and the current parameters, which requires
+    ``theta0``; any other input raises :class:`ValidationError`. The
+    parameters it is handed are the recorded row ``thetas[step - 1]``, so it
+    must not write to them, and its gradient must have their shape. Raises
+    :class:`DivergenceError` naming the first step at which parameters
+    became non-finite. The update formula is written once, in the loop both
+    this and :func:`stream` run.
 
     :func:`stream` runs the same loop without recording; this is the
     reference it is tested against, bit for bit.
@@ -356,17 +287,26 @@ def reconstruct(
     (recorded rows work as well), and must yield exactly ``len(c)`` rows.
     Each row is read once, as it arrives. Returns ``(theta_hat,
     relative_error)``, the error comparing against the last ``theta_t``.
+    Raises :class:`DomainError` if the sum is not finite, which happens when
+    weight decay is so close to 0 that ``x_t = -update / wd`` overflows.
     """
     theta_hat = scratch = theta = None
     n = 0
-    for n, (theta, x) in enumerate(rows, start=1):
-        if theta_hat is None:
-            theta_hat = np.zeros_like(x)
-            scratch = np.empty_like(x)
-        np.multiply(x, c[n - 1], out=scratch)
-        theta_hat += scratch
+    # an overflowed input makes the sum inf or nan; that is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, (theta, x) in enumerate(rows, start=1):
+            if theta_hat is None:
+                theta_hat = np.zeros_like(x)
+                scratch = np.empty_like(x)
+            np.multiply(x, c[n - 1], out=scratch)
+            theta_hat += scratch
     if n != len(c):
         raise ValidationError(f"coefficients cover {len(c)} inputs but {n} rows arrived")
+    if not np.isfinite(theta_hat).all():
+        raise DomainError(
+            "the reconstructed parameters are not finite: the moving-average "
+            "inputs update / weight_decay overflow; raise the weight decay"
+        )
     norm = float(np.linalg.norm(theta))
     err = float(np.linalg.norm(theta_hat - theta))
     relative_error = err if norm == 0.0 else err / norm

@@ -10,6 +10,8 @@ fit segment sits before the end of the stream.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ValidationError
@@ -45,8 +47,11 @@ def order_fit_probe(
         raise ValidationError(
             f"total_steps={total} must be a multiple of num_segments={num_segments}"
         )
-    if noise_std < 0:
-        raise ValidationError(f"noise_std must be >= 0, got {noise_std}")
+    for name, size in (("dim", dim), ("batch_size", batch_size)):
+        if not isinstance(size, (int, np.integer)) or size < 1:
+            raise ValidationError(f"{name} must be a positive integer, got {size!r}")
+    if not (0 <= noise_std < math.inf):
+        raise ValidationError(f"noise_std must be finite and >= 0, got {noise_std}")
     per_segment = total // num_segments
 
     gen = np.random.Generator(

@@ -304,16 +304,17 @@ def lr_curve(spec: ScheduleSpec) -> np.ndarray:
 def alpha_curve(spec: ScheduleSpec, weight_decay: float) -> np.ndarray:
     """Per-step smoothing values ``alpha_t = lr_t * weight_decay``.
 
-    Raises :class:`DomainError` if any alpha reaches 1, which would mean a
-    single update fully overwrites the parameter average.
+    Raises :class:`DomainError` if any alpha exceeds 1, the rule
+    :class:`~lrdual.dual.SmoothingSequence` applies: alpha = 1 is an exact
+    reset, where a single update overwrites the parameter average.
     """
     if not (weight_decay >= 0 and math.isfinite(weight_decay)):
         raise ValidationError(f"weight_decay must be non-negative, got {weight_decay}")
     alphas = lr_curve(spec) * weight_decay
-    bad = np.nonzero(alphas >= 1.0)[0]
+    bad = np.nonzero(alphas > 1.0)[0]
     if bad.size:
         raise DomainError(
-            f"smoothing alpha={alphas[bad[0]]} >= 1 at step {bad[0] + 1}; "
+            f"smoothing alpha={alphas[bad[0]]} > 1 at step {bad[0] + 1}; "
             f"lower the learning rate or weight decay"
         )
     return alphas

@@ -67,6 +67,17 @@ class TestSchedule:
         _, rows = read_rows(tmp_path / "schedule.csv")
         assert all(float(r[1]) == 0.5 for r in rows[2:])
 
+    def test_exact_reset_accepted(self, tmp_path):
+        # peak * wd = 1: every step overwrites the average, as in dual and simulate
+        code = run(
+            tmp_path,
+            "schedule", "--kind", "constant", "--warmup", "0", "--steps", "10",
+            "--peak-base", "10", "--wd", "0.1",
+        )
+        assert code == 0
+        _, rows = read_rows(tmp_path / "schedule.csv")
+        assert [r[2] for r in rows] == ["1"] * 10
+
     def test_cyclic_needs_period(self, tmp_path, capsys):
         assert run(tmp_path, "schedule", "--kind", "cyclic", "--steps", "20") == 1
         assert "--period" in capsys.readouterr().err
@@ -166,6 +177,28 @@ class TestDual:
             "--at-step", "11",
         )
         assert code == 1
+
+    def test_at_step_and_matrix_exclude_each_other(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(out, "dual", "--steps", "10", "--at-step", "99", "--matrix") == 1
+        lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("lrdual:")
+        ]
+        assert lines == [
+            "lrdual: validation error: argument --matrix: not allowed with argument --at-step"
+        ]
+        assert not out.exists()
+
+    def test_exact_reset_keeps_only_the_last_update(self, tmp_path):
+        code = run(
+            tmp_path,
+            "dual", "--kind", "constant", "--warmup", "0", "--steps", "10",
+            "--peak-base", "10", "--wd", "0.1",
+        )
+        assert code == 0
+        _, rows = read_rows(tmp_path / "coefficients.csv")
+        assert [r[1] for r in rows] == ["0"] * 10 + ["1"]
 
 
 class TestDesign:
@@ -277,6 +310,16 @@ class TestSimulate:
         out = tmp_path / "out"
         assert run(out, "simulate", *argv) == 2
         assert capsys.readouterr().err == f"lrdual: domain error: {message}\n"
+        assert not out.exists()
+
+    def test_vanishing_weight_decay_is_one_domain_line(self, tmp_path, capsys):
+        # x_t = -update / wd overflows at wd = 1e-320, so the sum is not finite
+        out = tmp_path / "out"
+        code = run(out, "simulate", "--steps", "10", "--dim", "3", "--wd", "1e-320")
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("lrdual: domain error: the reconstructed parameters")
         assert not out.exists()
 
 

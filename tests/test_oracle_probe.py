@@ -51,3 +51,18 @@ class TestOrderFitProbe:
             order_fit_probe(7, probe_spec("linear", total=400), AdamWConfig())
         with pytest.raises(ValidationError):
             order_fit_probe(8, probe_spec("linear"), AdamWConfig(), noise_std=-1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"batch_size": 0},
+            {"dim": 0},
+            {"dim": -1},
+            {"batch_size": 2.5},
+            {"noise_std": float("nan")},
+            {"noise_std": float("inf")},
+        ],
+    )
+    def test_sizes_and_noise_validated(self, kwargs):
+        with pytest.raises(ValidationError):
+            order_fit_probe(8, probe_spec("linear"), AdamWConfig(), **kwargs)

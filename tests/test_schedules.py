@@ -188,12 +188,18 @@ class TestAlphaCurve:
     def test_d2z_endpoint_zero(self):
         assert alpha_curve(linear(100, 10, peak_base=2e-3), 0.1)[-1] == 0.0
 
-    def test_alpha_at_least_one_rejected(self):
+    def test_alpha_one_is_an_exact_reset(self):
         spec = ScheduleSpec(
             kind=ScheduleKind.CONSTANT, total_steps=5, peak_base_lr=2.0, warmup_steps=0
         )
-        with pytest.raises(DomainError):
-            alpha_curve(spec, 0.5)
+        assert np.all(alpha_curve(spec, 0.5) == 1.0)
+
+    def test_alpha_above_one_rejected(self):
+        spec = ScheduleSpec(
+            kind=ScheduleKind.CONSTANT, total_steps=5, peak_base_lr=2.0, warmup_steps=0
+        )
+        with pytest.raises(DomainError, match="> 1 at step 1"):
+            alpha_curve(spec, np.nextafter(0.5, 1.0))
 
     def test_negative_weight_decay_rejected(self):
         with pytest.raises(ValidationError):
