@@ -18,10 +18,10 @@ from .designer import (
 from .dual import (
     DualCoefficients,
     SmoothingSequence,
-    coefficient_matrix,
     coefficients_at,
     init_coefficient,
     init_coefficient_approx,
+    iter_coefficient_rows,
     timescale,
 )
 from .errors import (
@@ -58,7 +58,7 @@ __all__ = [
     "SmoothingSequence",
     "DualCoefficients",
     "coefficients_at",
-    "coefficient_matrix",
+    "iter_coefficient_rows",
     "init_coefficient",
     "init_coefficient_approx",
     "timescale",

@@ -8,6 +8,7 @@ codes: 1 validation, 2 domain/infeasibility, 3 divergence, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -311,7 +312,7 @@ def _cmd_sweep(args):
     grid = SweepGrid.from_mapping(document)
     results = run_noise_sweep(grid, mode=args.mode, seed=args.seed)
     write_sweep_csv(out / "sweep.csv", results)
-    echo = grid.to_mapping()
+    echo = dataclasses.asdict(grid)
     echo.update({"mode": args.mode, "base_seed": args.seed})
     write_text_file(out / "sweep_config.json", json_text(echo))
     return ["sweep.csv", "sweep_config.json"], None

@@ -31,7 +31,6 @@ __all__ = [
     "SmoothingSequence",
     "DualCoefficients",
     "coefficients_at",
-    "coefficient_matrix",
     "iter_coefficient_rows",
     "init_coefficient",
     "init_coefficient_approx",
@@ -161,25 +160,12 @@ def coefficients_at(alphas: SmoothingSequence) -> DualCoefficients:
 def iter_coefficient_rows(alphas: SmoothingSequence):
     """Yield the log-coefficient row of every step ``t = 1..len(alphas)``.
 
-    Row ``t`` has length ``t``. Streaming keeps full-table exports linear in
-    memory; :func:`coefficient_matrix` materializes the same rows.
+    Row ``t`` has length ``t``; streaming keeps full-table exports linear in
+    memory. The last row is bit-identical to ``coefficients_at(alphas).log_c``.
     """
     log_alpha, prefix, resets = _log_tables(alphas)
     for t in range(1, len(alphas) + 1):
         yield _row(log_alpha, prefix, resets, t)
-
-
-def coefficient_matrix(alphas: SmoothingSequence) -> np.ndarray:
-    """Lower-triangular table ``[t-1, i-1] = log c_{t,i}`` for all ``t <= len(alphas)``.
-
-    Entries above the diagonal (inputs that have not arrived yet) are -inf.
-    The last row is bit-identical to ``coefficients_at(alphas).log_c``.
-    """
-    n = len(alphas)
-    table = np.full((n, n), -np.inf)
-    for t, row in enumerate(iter_coefficient_rows(alphas), start=1):
-        table[t - 1, :t] = row
-    return table
 
 
 def init_coefficient(alphas: SmoothingSequence) -> float:

@@ -98,17 +98,16 @@ def write_coefficients_csv(path: Path, coeffs: DualCoefficients) -> None:
 def write_coefficient_matrix_csv(path: Path, log_rows) -> None:
     """Sparse ``t,i,log_c`` triplets of the lower-triangular coefficient table.
 
-    ``log_rows`` is any iterable of log-coefficient rows (row ``t`` covering
-    inputs ``1..t``); a square matrix works too, its upper-triangle padding
-    falls below the omission threshold.
+    ``log_rows`` is an iterable of log-coefficient rows, row ``t`` covering
+    inputs ``1..t``, such as :func:`lrdual.dual.iter_coefficient_rows`.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# rows with log_c < {int(LOG_FLUSH_THRESHOLD)} omitted\n")
         fh.write("t,i,log_c\n")
         for t, row in enumerate(log_rows, start=1):
-            for i, value in enumerate(row[:t], start=1):
-                if value >= LOG_FLUSH_THRESHOLD:
-                    fh.write(f"{t},{i},{fmt17(value)}\n")
+            kept = np.flatnonzero(row >= LOG_FLUSH_THRESHOLD)
+            line = f"{t},{{}},{{:.17g}}\n".format
+            fh.write("".join(map(line, (kept + 1).tolist(), row[kept].tolist())))
 
 
 _SWEEP_COLUMNS = (

@@ -70,8 +70,8 @@ class AdamWConfig:
             raise ValidationError(f"beta1 must be in [0, 1), got {self.beta1}")
         if not (0.0 <= self.beta2 < 1.0):
             raise ValidationError(f"beta2 must be in [0, 1), got {self.beta2}")
-        if not (self.epsilon > 0.0):
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
+        if not (0.0 < self.epsilon < math.inf):
+            raise ValidationError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass(eq=False)

@@ -113,27 +113,6 @@ class SweepGrid:
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed sweep grid: {exc}") from exc
 
-    def to_mapping(self) -> dict:
-        """JSON-ready document mirroring the grid fields."""
-        return {
-            "schedules": [
-                {
-                    "kind": s.kind,
-                    "decay_ratio": s.decay_ratio,
-                    "kind_params": dict(s.kind_params),
-                }
-                for s in self.schedules
-            ],
-            "peak_lrs": list(self.peak_lrs),
-            "sigma2s": list(self.sigma2s),
-            "steps": list(self.steps),
-            "batches": list(self.batches),
-            "mu": self.mu,
-            "d0": self.d0,
-            "warmup_frac": self.warmup_frac,
-            "trials": self.trials,
-        }
-
 
 @dataclass(eq=False)
 class SweepCellResult:

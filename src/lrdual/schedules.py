@@ -13,6 +13,8 @@ a warmup of one step: the first step already runs at the peak rate.
 from __future__ import annotations
 
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -149,6 +151,26 @@ class ScheduleSpec:
             )
         return value
 
+    def _number(self, name: str, default=None) -> float:
+        """A numeric kind parameter as a float; bools and strings are refused."""
+        value = self._param(name, default)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"kind_params.{name} must be a number, got {value!r}")
+        return float(value)
+
+    def _multipliers(self) -> np.ndarray:
+        value = self._param("multipliers")
+        try:
+            mult = np.asarray(value)
+            numeric = mult.dtype.kind in "iuf"
+        except ValueError:  # ragged nesting
+            numeric = False
+        if not numeric:
+            raise ValidationError(
+                f"kind_params.multipliers must be numbers, got {reprlib.repr(value)}"
+            )
+        return mult.astype(np.float64)
+
     def _validate_kind_params(self) -> None:
         kind = self.kind
         known = _KIND_PARAMS.get(kind, ())
@@ -159,8 +181,8 @@ class ScheduleSpec:
                     f"it reads {', '.join(known) or 'none'}"
                 )
         if kind is ScheduleKind.STEP:
-            mf = float(self._param("milestone_fraction", 0.9))
-            df = float(self._param("drop_fraction", 0.001))
+            mf = self._number("milestone_fraction", 0.9)
+            df = self._number("drop_fraction", 0.001)
             if not 0.0 < mf <= 1.0:
                 raise ValidationError(
                     f"kind_params.milestone_fraction must be in (0, 1], got {mf}"
@@ -174,7 +196,7 @@ class ScheduleSpec:
                     "kind_params.milestone_fraction places the drop inside warmup"
                 )
         elif kind is ScheduleKind.WSD:
-            cf = float(self._param("cooldown_fraction", 0.225))
+            cf = self._number("cooldown_fraction", 0.225)
             if not 0.0 < cf <= 1.0:
                 raise ValidationError(
                     f"kind_params.cooldown_fraction must be in (0, 1], got {cf}"
@@ -185,19 +207,20 @@ class ScheduleSpec:
                 )
         elif kind is ScheduleKind.CYCLIC:
             period = self._param("period_steps")
-            if not isinstance(period, (int, np.integer)) or period < 1:
+            integral = isinstance(period, (int, np.integer)) and not isinstance(period, bool)
+            if not integral or period < 1:
                 raise ValidationError(
                     f"kind_params.period_steps must be a positive integer, got {period!r}"
                 )
         elif kind is ScheduleKind.RATIONAL:
-            wd = float(self._param("weight_decay"))
+            wd = self._number("weight_decay")
             if not (wd > 0 and math.isfinite(wd)):
                 raise ValidationError(
                     f"kind_params.weight_decay must be positive for the rational "
                     f"recurrence, got {wd}"
                 )
         elif kind is ScheduleKind.PIECEWISE:
-            mult = np.asarray(self._param("multipliers"), dtype=np.float64)
+            mult = self._multipliers()
             expected = self.total_steps - self.effective_warmup
             if mult.ndim != 1 or len(mult) != expected:
                 raise ValidationError(
@@ -220,7 +243,7 @@ class ScheduleSpec:
         return mup_scale(self.peak_base_lr, self.mup_factor)
 
     def _wsd_cooldown_start(self) -> int:
-        cf = float(self._param("cooldown_fraction", 0.225))
+        cf = self._number("cooldown_fraction", 0.225)
         cooldown = _snap_ceil(cf * (self.total_steps - self.warmup_steps))
         return self.total_steps - cooldown
 
@@ -250,8 +273,8 @@ def _decay_shape(spec: ScheduleSpec, t: np.ndarray, w_eff: float) -> np.ndarray:
     if kind is ScheduleKind.INVSQRT:
         return np.sqrt(w_eff / t)
     if kind is ScheduleKind.STEP:
-        milestone = _snap_ceil(float(spec._param("milestone_fraction", 0.9)) * T)
-        drop = float(spec._param("drop_fraction", 0.001))
+        milestone = _snap_ceil(spec._number("milestone_fraction", 0.9) * T)
+        drop = spec._number("drop_fraction", 0.001)
         return np.where(t <= milestone, 1.0, drop)
     if kind is ScheduleKind.WSD:
         start = spec._wsd_cooldown_start()
@@ -264,10 +287,10 @@ def _decay_shape(spec: ScheduleSpec, t: np.ndarray, w_eff: float) -> np.ndarray:
     if kind is ScheduleKind.RATIONAL:
         # Harmonic closed form of the recurrence lr' = lr / (1 + lr * wd),
         # seeded at the realized peak when warmup ends.
-        wd = float(spec._param("weight_decay"))
+        wd = spec._number("weight_decay")
         return 1.0 / (1.0 + wd * spec.peak_lr * (t - w_eff))
     if kind is ScheduleKind.PIECEWISE:
-        mult = np.asarray(spec._param("multipliers"), dtype=np.float64)
+        mult = spec._multipliers()
         return mult[(t - w_eff - 1.0).astype(np.intp)]
     raise AssertionError(f"unhandled kind {kind}")  # pragma: no cover
 

@@ -312,6 +312,15 @@ class TestSimulate:
         assert capsys.readouterr().err == f"lrdual: domain error: {message}\n"
         assert not out.exists()
 
+    def test_infinite_epsilon_is_one_validation_line(self, tmp_path, capsys):
+        # every update used to be 0, leaving only weight decay to move theta
+        out = tmp_path / "out"
+        assert run(out, "simulate", "--steps", "10", "--eps", "inf") == 1
+        assert capsys.readouterr().err == (
+            "lrdual: validation error: epsilon must be positive and finite, got inf\n"
+        )
+        assert not out.exists()
+
     def test_vanishing_weight_decay_is_one_domain_line(self, tmp_path, capsys):
         # x_t = -update / wd overflows at wd = 1e-320, so the sum is not finite
         out = tmp_path / "out"
@@ -399,6 +408,15 @@ class TestSweep:
             {"peak_lrs": ["0.05"]},
             {"schedules": [{"kind": "bogus"}]},
             {"schedules": [{"kind": "linear", "kind_params": {"zzz": 1}}]},
+            {"schedules": [{"kind": "wsd", "kind_params": {"cooldown_fraction": "x"}}]},
+            {"schedules": [{"kind": "wsd", "kind_params": {"cooldown_fraction": [1]}}]},
+            {"schedules": [{"kind": "wsd", "kind_params": {"cooldown_fraction": {}}}]},
+            {"schedules": [{"kind": "wsd", "kind_params": {"cooldown_fraction": True}}]},
+            {"schedules": [{"kind": "step", "kind_params": {"drop_fraction": "0.1"}}]},
+            {"schedules": [{"kind": "cyclic", "kind_params": {"period_steps": True}}]},
+            {"schedules": [{"kind": "piecewise", "kind_params": {"multipliers": "abc"}}]},
+            {"schedules": [{"kind": "piecewise", "kind_params": {"multipliers": {}}}]},
+            {"schedules": [{"kind": "piecewise", "kind_params": {"multipliers": [[1], [1, 2]]}}]},
             "{not json",
             "",
             b"\xff\xfe{",

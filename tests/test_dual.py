@@ -12,10 +12,10 @@ from lrdual import (
     ScheduleSpec,
     SmoothingSequence,
     ValidationError,
-    coefficient_matrix,
     coefficients_at,
     init_coefficient,
     init_coefficient_approx,
+    iter_coefficient_rows,
     timescale,
 )
 from lrdual.dual import materialize_log_coefficients
@@ -113,26 +113,25 @@ class TestCoefficientsAt:
         assert out.c.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-class TestCoefficientMatrix:
+class TestCoefficientRows:
     def test_two_step_rows(self):
-        table = coefficient_matrix(seq(1.0, 0.5))
-        c = materialize_log_coefficients(table)
-        assert c[0].tolist() == [1.0, 0.0]
-        assert c[1].tolist() == [0.5, 0.5]
+        rows = [materialize_log_coefficients(r) for r in iter_coefficient_rows(seq(1.0, 0.5))]
+        assert [r.tolist() for r in rows] == [[1.0], [0.5, 0.5]]
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
         alphas = np.concatenate([[1.0], rng.uniform(0.0, 0.8, 120)])
-        table = coefficient_matrix(SmoothingSequence(alphas))
-        sums = materialize_log_coefficients(table).sum(axis=1)
-        np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+        rows = list(iter_coefficient_rows(SmoothingSequence(alphas)))
+        assert [len(r) for r in rows] == list(range(1, 122))
+        for row in rows:
+            assert abs(materialize_log_coefficients(row).sum() - 1.0) <= 1e-12
 
     def test_last_row_bit_identical_to_coefficients_at(self):
         rng = np.random.default_rng(11)
         alphas = np.concatenate([[1.0], rng.uniform(0.0, 0.9, 63)])
         s = SmoothingSequence(alphas)
-        table = coefficient_matrix(s)
-        assert np.array_equal(table[-1], coefficients_at(s).log_c)
+        *_, last = iter_coefficient_rows(s)
+        assert np.array_equal(last, coefficients_at(s).log_c)
 
 
 class TestInitCoefficient:

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from lrdual import SmoothingSequence, ValidationError, coefficient_matrix, coefficients_at
+from lrdual import SmoothingSequence, ValidationError, coefficients_at, iter_coefficient_rows
 from lrdual.fileio import (
     RunManifest,
     columns_text,
@@ -78,19 +78,37 @@ class TestCoefficientsCsv:
         assert (i, float(c), float(log_c)) == ("2", 0.0, float("-inf"))
 
     def test_matrix_sparse_omits_underflow(self, tmp_path):
-        alphas = SmoothingSequence(np.concatenate([[1.0], np.full(2500, 0.5)]))
-        table = coefficient_matrix(alphas)
+        # log(1 - 0.999) ~ -6.9, so inputs 108 or more steps back fall below -745
+        alphas = SmoothingSequence(np.concatenate([[1.0], np.full(300, 0.999)]))
         path = tmp_path / "matrix.csv"
-        write_coefficient_matrix_csv(path, table)
+        write_coefficient_matrix_csv(path, iter_coefficient_rows(alphas))
         lines = path.read_text().splitlines()
         assert lines[0].startswith("#")
         assert lines[1] == "t,i,log_c"
         data = [line.split(",") for line in lines[2:]]
         assert all(float(log_c) >= -745.0 for _, _, log_c in data)
         # early inputs of late rows underflow and must be absent
-        last_row = [(int(t), int(i)) for t, i, _ in data if int(t) == 2501]
-        assert (2501, 1) not in last_row
-        assert (2501, 2501) in last_row
+        last_row = [(int(t), int(i)) for t, i, _ in data if int(t) == 301]
+        assert (301, 1) not in last_row
+        assert (301, 301) in last_row
+
+    def test_matrix_bytes_match_per_element_reference(self, tmp_path):
+        # exact resets (alpha = 1), alpha = 0 inputs and flushed tails
+        alphas = np.concatenate([[1.0], np.full(150, 0.999), [0.0, 0.0, 1.0, 0.3, 0.0, 1.0]])
+        alphas = np.concatenate([alphas, np.random.default_rng(5).uniform(0.0, 1.0, 40)])
+        seq = SmoothingSequence(alphas)
+        path = tmp_path / "matrix.csv"
+        write_coefficient_matrix_csv(path, iter_coefficient_rows(seq))
+        expected = ["# rows with log_c < -745 omitted\n", "t,i,log_c\n"]
+        for t, row in enumerate(iter_coefficient_rows(seq), start=1):
+            for i, value in enumerate(row[:t], start=1):
+                if value >= -745.0:
+                    expected.append(f"{t},{i},{fmt17(value)}\n")
+        text = path.read_text()
+        assert text == "".join(expected)
+        assert "\n152,152," not in text and "\n152,151," in text  # alpha = 0 input
+        assert "\n154,153," not in text and "\n154,154,0\n" in text  # exact reset
+        assert "\n151,1," not in text and "\n151,151," in text  # flushed tail
 
 
 class TestReaders:

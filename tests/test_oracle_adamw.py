@@ -109,6 +109,8 @@ class TestAdamWStep:
         with pytest.raises(ValidationError):
             AdamWConfig(epsilon=0.0)
         with pytest.raises(ValidationError):
+            AdamWConfig(epsilon=float("inf"))
+        with pytest.raises(ValidationError):
             AdamWConfig(weight_decay=-0.5)
 
 

@@ -1,5 +1,7 @@
 """Sweep harness: determinism, grid validation, stability flags."""
 
+import dataclasses
+
 import pytest
 
 from lrdual import ValidationError
@@ -28,7 +30,7 @@ def small_grid(**overrides):
 class TestGrid:
     def test_json_round_trip(self):
         grid = small_grid()
-        again = SweepGrid.from_mapping(grid.to_mapping())
+        again = SweepGrid.from_mapping(dataclasses.asdict(grid))
         assert again == grid
 
     def test_empty_axis_rejected(self):
@@ -40,7 +42,7 @@ class TestGrid:
             SweepGrid.from_mapping({"schedules": []})
 
     def test_integral_floats_accepted_as_integers(self):
-        doc = small_grid().to_mapping()
+        doc = dataclasses.asdict(small_grid())
         doc.update(steps=[120.0], batches=[1.0, 4.0], trials=64.0)
         grid = SweepGrid.from_mapping(doc)
         assert grid == small_grid()

@@ -294,6 +294,28 @@ class TestValidation:
         with pytest.raises(ValidationError, match=f"kind_params.{unknown} is not"):
             ScheduleSpec(kind=kind, total_steps=10, peak_base_lr=0.1, kind_params=params)
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("wsd", {"cooldown_fraction": "x"}),
+            ("wsd", {"cooldown_fraction": [1]}),
+            ("wsd", {"cooldown_fraction": True}),
+            ("step", {"milestone_fraction": "0.5"}),
+            ("step", {"drop_fraction": False}),
+            ("rational", {"weight_decay": True}),
+            ("cyclic", {"period_steps": True}),
+            ("cyclic", {"period_steps": 5.0}),
+            ("piecewise", {"multipliers": "abc"}),
+            ("piecewise", {"multipliers": {}}),
+            ("piecewise", {"multipliers": [True] * 9}),
+            ("piecewise", {"multipliers": [[0.5], [0.5, 0.5]]}),
+        ],
+    )
+    def test_kind_param_types_checked(self, kind, params):
+        name = next(iter(params))
+        with pytest.raises(ValidationError, match=f"kind_params.{name} must be"):
+            ScheduleSpec(kind=kind, total_steps=10, peak_base_lr=0.1, kind_params=params)
+
 
 # -- hypothesis-driven invariants ------------------------------------------------
 
