@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .designer import rational_schedule, schedule_from_coefficients
 from .dual import SmoothingSequence, coefficients_at, iter_coefficient_rows
-from .errors import DivergenceError, DomainError, LRDualError, ValidationError
+from .errors import DivergenceError, DomainError, LRDualError, ValidationError, check_count
 from .fileio import (
     RunManifest,
     columns_text,
@@ -301,8 +301,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_sweep(args):
-    if args.jobs < 1:
-        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
+    check_count("--jobs", args.jobs)
     out = _out_dir(args)
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
@@ -360,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--target", required=True, help="CSV with columns i,c")
     p.add_argument("--wd", type=float, default=0.1, help="optimizer weight decay")
-    p.add_argument("--rho", type=float, default=1.0, help="width-ratio LR factor")
+    p.add_argument(
+        "--rho", type=float, default=1.0, help="accepted for manifest replay; changes no output"
+    )
     p.set_defaults(handler=_cmd_design)
 
     p = sub.add_parser("rational", help="emit the uniform-coefficients schedule")

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InfiniteTimescaleError, ValidationError
+from .errors import DomainError, InfiniteTimescaleError, ValidationError, check_count
 from .schedules import ScheduleSpec, alpha_curve
 
 __all__ = [
@@ -179,8 +179,7 @@ def init_coefficient_approx(avg_alpha: float, t: int) -> float:
     Exact when the smoothing is constant; for small, slowly varying alphas
     the relative error is second order in their spread.
     """
-    if not isinstance(t, (int, np.integer)) or t < 1:
-        raise ValidationError(f"t must be a positive integer, got {t!r}")
+    check_count("t", t)
     if not (0.0 <= avg_alpha < 1.0) or not math.isfinite(avg_alpha):
         raise DomainError(f"avg_alpha must be in [0, 1), got {avg_alpha}")
     return (1.0 - avg_alpha) ** (t - 1)

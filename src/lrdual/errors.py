@@ -4,6 +4,7 @@ The CLI maps these onto exit codes: validation errors exit 1, domain and
 infeasibility errors exit 2, divergence errors exit 3, I/O errors exit 4.
 """
 
+import numbers
 from contextlib import contextmanager
 
 
@@ -46,6 +47,18 @@ class DivergenceError(LRDualError):
 
 class NonFiniteGradientError(DivergenceError):
     """A gradient containing NaN or infinity would poison optimizer state."""
+
+
+def check_count(name: str, value: object, minimum: int = 1) -> None:
+    """Refuse ``value`` unless it is an integer of at least ``minimum``.
+
+    Python and numpy integers pass; bools, floats and strings do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        wanted = {0: "a non-negative integer", 1: "a positive integer"}
+        raise ValidationError(
+            f"{name} must be {wanted.get(minimum, f'an integer >= {minimum}')}, got {value!r}"
+        )
 
 
 @contextmanager

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, check_count
 from ..schedules import ScheduleSpec
 from .adamw import AdamWConfig, stream
 from .rng import derive_seed
@@ -40,16 +40,14 @@ def order_fit_probe(
     inputs plus per-batch Gaussian noise, drawn once and reused for the final
     evaluation, so fitting a segment means fitting its noise.
     """
-    if not isinstance(num_segments, (int, np.integer)) or num_segments < 4:
-        raise ValidationError(f"num_segments must be an integer >= 4, got {num_segments!r}")
+    check_count("num_segments", num_segments, minimum=4)
     total = spec.total_steps
     if total % num_segments != 0:
         raise ValidationError(
             f"total_steps={total} must be a multiple of num_segments={num_segments}"
         )
-    for name, size in (("dim", dim), ("batch_size", batch_size)):
-        if not isinstance(size, (int, np.integer)) or size < 1:
-            raise ValidationError(f"{name} must be a positive integer, got {size!r}")
+    check_count("dim", dim)
+    check_count("batch_size", batch_size)
     if not (0 <= noise_std < math.inf):
         raise ValidationError(f"noise_std must be finite and >= 0, got {noise_std}")
     per_segment = total // num_segments

@@ -19,7 +19,7 @@ from typing import NamedTuple, Tuple, Union
 
 import numpy as np
 
-from ..errors import DomainError, ValidationError, allocation_guard
+from ..errors import DomainError, ValidationError, allocation_guard, check_count
 from .rng import normal_field
 
 __all__ = [
@@ -52,8 +52,7 @@ class QuadraticProblem:
     batch_size: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise ValidationError(f"dim must be a positive integer, got {self.dim!r}")
+        check_count("dim", self.dim)
         with allocation_guard("dim", self.dim):
             curv = np.empty(self.dim)
         curv[...] = np.broadcast_to(np.asarray(self.curvature, dtype=np.float64), (self.dim,))
@@ -66,10 +65,7 @@ class QuadraticProblem:
             raise ValidationError(
                 f"theta0_dist_sq must be >= 0, got {self.theta0_dist_sq}"
             )
-        if not isinstance(self.batch_size, (int, np.integer)) or self.batch_size < 1:
-            raise ValidationError(
-                f"batch_size must be a positive integer, got {self.batch_size!r}"
-            )
+        check_count("batch_size", self.batch_size)
 
     @property
     def curvature_vector(self) -> np.ndarray:
@@ -98,8 +94,7 @@ class GapBound(NamedTuple):
 
 def sgd_gap_bound(lr: float, mu: float, noise_var: float, d0: float, t: int) -> GapBound:
     """Constant-LR bound ``(1 - lr*mu)^t * d0 + lr * noise_var``."""
-    if not isinstance(t, (int, np.integer)) or t < 0:
-        raise ValidationError(f"t must be a non-negative integer, got {t!r}")
+    check_count("t", t, minimum=0)
     if not (mu > 0 and math.isfinite(mu)):
         raise DomainError(f"mu must be positive, got {mu}")
     if not (noise_var >= 0 and d0 >= 0):
@@ -123,6 +118,19 @@ def check_sgd_stability(lrs: np.ndarray, mu: float) -> None:
         )
 
 
+def _check_chain(
+    lr_curve: np.ndarray, mu: float, noise_var_eff: float, d0: float
+) -> np.ndarray:
+    """Validate a 1-D SGD chain's inputs; return the step sizes as float64."""
+    if not (mu > 0 and math.isfinite(mu)):
+        raise DomainError(f"mu must be positive, got {mu}")
+    if not (0 <= noise_var_eff < math.inf and 0 <= d0 < math.inf):
+        raise DomainError("noise_var_eff and d0 must be finite and non-negative")
+    lrs = np.asarray(lr_curve, dtype=np.float64)
+    check_sgd_stability(lrs, mu)
+    return lrs
+
+
 def sgd_quadratic_expected_gap(
     lr_curve: np.ndarray,
     mu: float,
@@ -130,12 +138,7 @@ def sgd_quadratic_expected_gap(
     d0: float,
 ) -> np.ndarray:
     """Exact expected squared distances ``e_1..e_T`` for 1-D SGD."""
-    if not (mu > 0 and math.isfinite(mu)):
-        raise DomainError(f"mu must be positive, got {mu}")
-    if not (noise_var_eff >= 0 and d0 >= 0):
-        raise DomainError("noise_var_eff and d0 must be non-negative")
-    lrs = np.asarray(lr_curve, dtype=np.float64)
-    check_sgd_stability(lrs, mu)
+    lrs = _check_chain(lr_curve, mu, noise_var_eff, d0)
     contractions = (1.0 - lrs * mu) ** 2
     injections = lrs * lrs * noise_var_eff
     gaps = np.empty(len(lrs))
@@ -160,13 +163,12 @@ def sgd_monte_carlo_gap(
     keyed by ``(seed, step)``; trial ``k`` reads coordinate ``k`` of each
     step's noise field.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 2:
-        raise ValidationError(f"trials must be an integer >= 2, got {trials!r}")
-    lrs = np.asarray(lr_curve, dtype=np.float64)
-    check_sgd_stability(lrs, mu)
+    check_count("trials", trials, minimum=2)
+    lrs = _check_chain(lr_curve, mu, noise_var_eff, d0)
     noise_std = math.sqrt(noise_var_eff)
+    start = math.sqrt(d0)
     with allocation_guard("trials", trials):
-        theta = np.full(trials, math.sqrt(d0))
+        theta = np.full(trials, start)
     for t in range(1, len(lrs) + 1):
         lr = lrs[t - 1]
         # theta = (1 - lr * mu) * theta - (lr * noise_std) * z, in place

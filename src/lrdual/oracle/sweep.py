@@ -3,8 +3,9 @@
 Cells are the cross product of schedules, peak learning rates, noise
 variances, step counts and batch sizes. Every cell is independent: its seed
 derives from the base seed and the cell's enumeration index, so results
-depend only on the grid and the seed. Cells run one after another; unstable
-cells are flagged in the output rather than dropped.
+depend only on the grid and the seed. Making a grid builds the schedule of
+every cell, so a bad entry is refused before any cell runs. Cells run one
+after another; unstable cells are flagged in the output rather than dropped.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
-from ..errors import ValidationError
-from ..schedules import ScheduleKind, ScheduleSpec, lr_curve, steps_from_fraction
+from ..errors import ValidationError, check_count
+from ..schedules import ScheduleSpec, lr_curve, steps_from_fraction
 from .quadratic import sgd_monte_carlo_gap, sgd_quadratic_expected_gap
 from .rng import derive_seed
 
@@ -31,13 +32,9 @@ def _number(value: object, name: str) -> float:
     return float(value)
 
 
-def _integer(value: object, name: str) -> int:
-    """A JSON integer, or a float with an integral value."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"sweep grid {name}: expected an integer, got {value!r}")
-    return value
+def _integer(value: object) -> object:
+    """A float with an integral value as an int; the grid checks the rest."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 @dataclass(frozen=True)
@@ -47,11 +44,6 @@ class SweepSchedule:
     kind: str
     decay_ratio: float = 0.0
     kind_params: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in {k.value for k in ScheduleKind}:
-            raise ValidationError(f"unknown schedule kind {self.kind!r}")
-        object.__setattr__(self, "kind", ScheduleKind(self.kind).value)
 
 
 @dataclass(frozen=True)
@@ -79,13 +71,28 @@ class SweepGrid:
         for sigma2 in self.sigma2s:
             if not (sigma2 >= 0 and math.isfinite(sigma2)):
                 raise ValidationError(f"sigma2s must be non-negative and finite, got {sigma2}")
-        for batch in self.batches:
-            if batch < 1:
-                raise ValidationError(f"batches must be >= 1, got {batch}")
+        for name in ("steps", "batches"):
+            for count in getattr(self, name):
+                check_count(name, count)
         if not (0.0 <= self.warmup_frac < 1.0):
             raise ValidationError(f"warmup_frac must be in [0, 1), got {self.warmup_frac}")
-        if self.trials < 2:
-            raise ValidationError(f"trials must be >= 2, got {self.trials}")
+        check_count("trials", self.trials, minimum=2)
+        # One spec per (schedule, peak, steps); not a field, so equality and
+        # dataclasses.asdict (the sweep_config.json echo) ignore it.
+        specs = {
+            (k, peak, total): ScheduleSpec(
+                kind=sched.kind,
+                total_steps=total,
+                peak_base_lr=peak,
+                warmup_steps=steps_from_fraction(self.warmup_frac, total),
+                decay_ratio=sched.decay_ratio,
+                kind_params=dict(sched.kind_params),
+            )
+            for (k, sched), peak, total in product(
+                enumerate(self.schedules), self.peak_lrs, self.steps
+            )
+        }
+        object.__setattr__(self, "_specs", specs)
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "SweepGrid":
@@ -103,12 +110,12 @@ class SweepGrid:
                 schedules=schedules,
                 peak_lrs=tuple(_number(v, "peak_lrs") for v in data["peak_lrs"]),
                 sigma2s=tuple(_number(v, "sigma2s") for v in data["sigma2s"]),
-                steps=tuple(_integer(v, "steps") for v in data["steps"]),
-                batches=tuple(_integer(v, "batches") for v in data["batches"]),
+                steps=tuple(_integer(v) for v in data["steps"]),
+                batches=tuple(_integer(v) for v in data["batches"]),
                 mu=_number(data.get("mu", 1.0), "mu"),
                 d0=_number(data.get("d0", 1.0), "d0"),
                 warmup_frac=_number(data.get("warmup_frac", 0.1), "warmup_frac"),
-                trials=_integer(data.get("trials", 1000), "trials"),
+                trials=_integer(data.get("trials", 1000)),
             )
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed sweep grid: {exc}") from exc
@@ -144,32 +151,22 @@ class SweepCellResult:
 
 def _run_cell(
     index: int,
-    sched: SweepSchedule,
-    peak: float,
+    spec: ScheduleSpec,
     sigma2: float,
-    total: int,
     batch: int,
     grid: SweepGrid,
     mode: str,
     base_seed: int,
 ) -> SweepCellResult:
-    spec = ScheduleSpec(
-        kind=ScheduleKind(sched.kind),
-        total_steps=total,
-        peak_base_lr=peak,
-        warmup_steps=steps_from_fraction(grid.warmup_frac, total),
-        decay_ratio=sched.decay_ratio,
-        kind_params=dict(sched.kind_params),
-    )
     lrs = lr_curve(spec)
     result = SweepCellResult(
         index=index,
-        schedule=sched.kind,
-        peak_lr=peak,
-        decay_ratio=sched.decay_ratio,
+        schedule=spec.kind.value,
+        peak_lr=spec.peak_base_lr,
+        decay_ratio=spec.decay_ratio,
         sigma2=sigma2,
         batch=batch,
-        steps=total,
+        steps=spec.total_steps,
         stable=bool((lrs * grid.mu < 2.0).all()),
     )
     if not result.stable:
@@ -200,9 +197,11 @@ def run_noise_sweep(
     """Evaluate every grid cell; output is sorted by cell key, not run order."""
     if mode not in _MODES:
         raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
-    cells = product(grid.schedules, grid.peak_lrs, grid.sigma2s, grid.steps, grid.batches)
+    cells = product(
+        range(len(grid.schedules)), grid.peak_lrs, grid.sigma2s, grid.steps, grid.batches
+    )
     results = [
-        _run_cell(index, sched, peak, sigma2, total, batch, grid, mode, seed)
-        for index, (sched, peak, sigma2, total, batch) in enumerate(cells)
+        _run_cell(index, grid._specs[k, peak, total], sigma2, batch, grid, mode, seed)
+        for index, (k, peak, sigma2, total, batch) in enumerate(cells)
     ]
     return sorted(results, key=SweepCellResult.sort_key)

@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, allocation_guard
+from .errors import DomainError, ValidationError, allocation_guard, check_count
 
 __all__ = [
     "ScheduleKind",
@@ -122,15 +122,12 @@ class ScheduleSpec:
     kind_params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", ScheduleKind(self.kind))
-        if not isinstance(self.total_steps, (int, np.integer)) or self.total_steps < 1:
-            raise ValidationError(
-                f"total_steps must be a positive integer, got {self.total_steps!r}"
-            )
-        if not isinstance(self.warmup_steps, (int, np.integer)) or self.warmup_steps < 0:
-            raise ValidationError(
-                f"warmup_steps must be a non-negative integer, got {self.warmup_steps!r}"
-            )
+        try:
+            object.__setattr__(self, "kind", ScheduleKind(self.kind))
+        except ValueError:
+            raise ValidationError(f"unknown schedule kind {self.kind!r}") from None
+        check_count("total_steps", self.total_steps)
+        check_count("warmup_steps", self.warmup_steps, minimum=0)
         if self.warmup_steps >= self.total_steps:
             raise ValidationError(
                 f"warmup_steps={self.warmup_steps} must be smaller than "
@@ -206,12 +203,7 @@ class ScheduleSpec:
                     "kind_params.cooldown_fraction leaves no stable phase after warmup"
                 )
         elif kind is ScheduleKind.CYCLIC:
-            period = self._param("period_steps")
-            integral = isinstance(period, (int, np.integer)) and not isinstance(period, bool)
-            if not integral or period < 1:
-                raise ValidationError(
-                    f"kind_params.period_steps must be a positive integer, got {period!r}"
-                )
+            check_count("kind_params.period_steps", self._param("period_steps"))
         elif kind is ScheduleKind.RATIONAL:
             wd = self._number("weight_decay")
             if not (wd > 0 and math.isfinite(wd)):
@@ -308,8 +300,7 @@ def _shape(spec: ScheduleSpec, t: np.ndarray) -> np.ndarray:
 
 def lr_at(spec: ScheduleSpec, t: int) -> float:
     """Learning rate at step ``t`` (1-based, ``1 <= t <= total_steps``)."""
-    if not isinstance(t, (int, np.integer)):
-        raise ValidationError(f"step index must be an integer, got {t!r}")
+    check_count("step index t", t)
     if not 1 <= t <= spec.total_steps:
         raise ValidationError(
             f"step index t={t} outside the schedule range 1..{spec.total_steps}"

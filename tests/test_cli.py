@@ -215,6 +215,19 @@ class TestDesign:
         lrs = [float(r[1]) for r in rows]
         assert lrs[1] == pytest.approx(5.0, rel=1e-12)
 
+    def test_rho_changes_no_output(self, tmp_path):
+        # --rho only scales the designer's base LRs, which no output holds
+        profile = tmp_path / "profile.csv"
+        profile.write_text("i,c\n1,0.25\n2,0.25\n3,0.5\n")
+        outputs = []
+        for rho in ("0.5", "1"):
+            out = tmp_path / rho
+            assert main(["design", "--target", str(profile), "--rho", rho, "--svg",
+                         "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("designed_schedule.csv", "design.svg")])
+        assert outputs[0] == outputs[1]
+
     def test_unnormalized_profile_exits_1(self, tmp_path, capsys):
         profile = tmp_path / "profile.csv"
         profile.write_text("i,c\n1,0.9\n2,0.9\n")
@@ -417,6 +430,12 @@ class TestSweep:
             {"schedules": [{"kind": "piecewise", "kind_params": {"multipliers": "abc"}}]},
             {"schedules": [{"kind": "piecewise", "kind_params": {"multipliers": {}}}]},
             {"schedules": [{"kind": "piecewise", "kind_params": {"multipliers": [[1], [1, 2]]}}]},
+            {"schedules": [{"kind": "linear"},
+                           {"kind": "wsd", "kind_params": {"cooldown_fraction": 2.0}}]},
+            {"peak_lrs": [0.05, 0]},
+            {"peak_lrs": [-0.1]},
+            {"trials": 1},
+            {"trials": False},
             "{not json",
             "",
             b"\xff\xfe{",

@@ -117,6 +117,28 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             sgd_monte_carlo_gap(np.full(5, 0.1), 1.0, 1.0, 1.0, trials=1, seed=0)
 
+    @pytest.mark.parametrize("gap", ["analytic", "monte-carlo"])
+    @pytest.mark.parametrize(
+        "mu, noise_var_eff, d0",
+        [
+            (float("nan"), 1.0, 1.0),
+            (0.0, 1.0, 1.0),
+            (1.0, -1.0, 1.0),
+            (1.0, float("nan"), 1.0),
+            (1.0, 1.0, -1.0),
+            (1.0, 1.0, float("inf")),
+        ],
+    )
+    def test_chain_inputs_checked(self, gap, mu, noise_var_eff, d0):
+        # both gaps share one check; the d0 error is not an allocation error
+        lrs = np.full(5, 0.1)
+        with pytest.raises(DomainError, match="must be") as err:
+            if gap == "analytic":
+                sgd_quadratic_expected_gap(lrs, mu, noise_var_eff, d0)
+            else:
+                sgd_monte_carlo_gap(lrs, mu, noise_var_eff, d0, trials=10, seed=0)
+        assert "allocate" not in str(err.value)
+
     def test_trials_too_large_to_allocate(self):
         with pytest.raises(DomainError, match="trials=100000000000000000000 is too large"):
             sgd_monte_carlo_gap(np.full(5, 0.1), 1.0, 1.0, 1.0, trials=10**20, seed=0)

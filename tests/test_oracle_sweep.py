@@ -41,6 +41,28 @@ class TestGrid:
         with pytest.raises(ValidationError):
             SweepGrid.from_mapping({"schedules": []})
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(schedules=(
+                SweepSchedule(kind="linear"),
+                SweepSchedule(kind="wsd", kind_params={"cooldown_fraction": 2.0}),
+            )),
+            dict(schedules=(SweepSchedule(kind="linear"), SweepSchedule(kind="bogus"))),
+            dict(peak_lrs=(0.05, 0.0)),
+            dict(peak_lrs=(-0.1,)),
+        ],
+    )
+    def test_every_schedule_checked_when_the_grid_is_made(self, overrides, monkeypatch):
+        import lrdual.oracle.sweep as sweep
+
+        calls = []
+        run_cell = sweep._run_cell
+        monkeypatch.setattr(sweep, "_run_cell", lambda *a: calls.append(a) or run_cell(*a))
+        with pytest.raises(ValidationError):
+            run_noise_sweep(small_grid(**overrides), mode="monte-carlo")
+        assert calls == []
+
     def test_integral_floats_accepted_as_integers(self):
         doc = dataclasses.asdict(small_grid())
         doc.update(steps=[120.0], batches=[1.0, 4.0], trials=64.0)

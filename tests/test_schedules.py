@@ -255,6 +255,10 @@ class TestValidation:
         with pytest.raises(ValidationError, match="total_steps"):
             linear(0, 0)
 
+    def test_unknown_kind_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="unknown schedule kind 'bogus'"):
+            ScheduleSpec(kind="bogus", total_steps=10, peak_base_lr=0.1)
+
     def test_cyclic_requires_period(self):
         with pytest.raises(ValidationError, match="period_steps"):
             ScheduleSpec(kind="cyclic", total_steps=10, peak_base_lr=0.1)
