@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import count
 from pathlib import Path
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,26 +49,32 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_text_file(path: Path, text: str) -> None:
-    """Write text with pinned newlines so output bytes are platform-free."""
+def write_text_file(path: Path, text: Union[str, Iterable[str]]) -> None:
+    """Write text, or an iterable of text chunks in order, with pinned newlines.
+
+    Chunks are written as they are produced, so a table is never held whole;
+    newlines are pinned so output bytes are platform-free.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 # Rows formatted per block: the Python floats and row strings of one block
-# are freed before the next, so peak memory stays near the text's own size.
+# are freed before the next, so memory stays near one block's text.
 _BLOCK_ROWS = 4096
 
 
-def columns_text(header: str, *columns: np.ndarray) -> str:
-    """CSV text: ``header``, then rows ``index,col1,...`` with the index from 1."""
-    row = "{}," + ",".join(["{:.17g}"] * len(columns))
+def columns_text(header: str, *columns: np.ndarray) -> Iterator[str]:
+    """CSV text in blocks: ``header``, then rows ``index,col1,...`` with the index from 1.
+
+    Joined, the blocks are the whole file; pass them to :func:`write_text_file`.
+    """
+    row = "{}," + ",".join(["{:.17g}"] * len(columns)) + "\n"
     arrays = [np.asarray(column, dtype=np.float64) for column in columns]
-    parts = [header]
+    yield header + "\n"
     for start in range(0, min(map(len, arrays)), _BLOCK_ROWS):
         values = [a[start : start + _BLOCK_ROWS].tolist() for a in arrays]
-        parts.append("\n".join(map(row.format, count(start + 1), *values)))
-    return "\n".join(parts) + "\n"
+        yield "".join(map(row.format, count(start + 1), *values))
 
 
 def float_json_text(fields: Mapping[str, Optional[float]]) -> str:
@@ -139,56 +145,66 @@ def write_fit_json(path: Path, fit: PowerLawFit) -> None:
 
 
 def _content_lines(path: Path) -> Iterator[Tuple[int, str]]:
-    """``(line number, stripped line)`` of each non-blank, non-comment line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
-    for lineno, raw in enumerate(raw_lines, start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
+    """``(line number, stripped line)`` of each non-blank, non-comment line.
+
+    The file is read one line at a time; a byte that is not UTF-8 is refused
+    wherever it sits.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _data_rows(path: Path, expected_fields: int) -> List[List[str]]:
-    rows = []
+def _data_rows(path: Path, header: str) -> Iterator[List[str]]:
+    """The two stripped fields of each data line.
+
+    A first line whose first field is ``header`` is skipped; a file with no
+    content line is refused.
+    """
+    first = True
     for lineno, line in _content_lines(path):
         fields = [f.strip() for f in line.split(",")]
-        if len(fields) != expected_fields:
-            raise ValidationError(
-                f"{path}:{lineno}: expected {expected_fields} fields, got {len(fields)}"
-            )
-        rows.append(fields)
-    if not rows:
+        if len(fields) != 2:
+            raise ValidationError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
+        if not (first and fields[0].lower() == header):
+            yield fields
+        first = False
+    if first:
         raise ValidationError(f"{path}: no data rows")
-    return rows
 
 
 def read_target_profile(path: Path) -> TargetProfile:
     """Read an ``i,c`` CSV into a target profile (rows sorted by index)."""
-    rows = _data_rows(path, 2)
-    if rows[0][0].lower() == "i":
-        rows = rows[1:]
-    try:
-        indexed = sorted((int(i), float(c)) for i, c in rows)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: malformed profile row: {exc}") from exc
-    indices = [i for i, _ in indexed]
-    if indices != list(range(1, len(indexed) + 1)):
-        raise ValidationError(f"{path}: profile indices must be 1..{len(indexed)}")
-    return TargetProfile(np.array([c for _, c in indexed]))
+    indices, weights = [], []
+    for i, c in _data_rows(path, "i"):
+        try:
+            indices.append(int(i))
+            weights.append(float(c))
+        except ValueError as exc:
+            raise ValidationError(f"{path}: malformed profile row: {exc}") from exc
+    # An index too large for int64 makes this array float or object; it
+    # still sorts, and it never equals an index in 1..n.
+    index = np.array(indices)
+    order = np.argsort(index, kind="stable")
+    if not np.array_equal(index[order], np.arange(1, len(index) + 1)):
+        raise ValidationError(f"{path}: profile indices must be 1..{len(index)}")
+    return TargetProfile(np.array(weights)[order])
 
 
 def read_points(path: Path) -> List[Tuple[float, float]]:
     """Read an ``x,y`` CSV into a list of pairs."""
-    rows = _data_rows(path, 2)
-    if rows[0][0].lower() == "x":
-        rows = rows[1:]
-    try:
-        return [(float(x), float(y)) for x, y in rows]
-    except ValueError as exc:
-        raise ValidationError(f"{path}: malformed point row: {exc}") from exc
+    points = []
+    for x, y in _data_rows(path, "x"):
+        try:
+            points.append((float(x), float(y)))
+        except ValueError as exc:
+            raise ValidationError(f"{path}: malformed point row: {exc}") from exc
+    return points
 
 
 def read_multipliers(path: Path) -> Tuple[float, ...]:
@@ -252,12 +268,6 @@ def svg_line_plot(
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def px(x: float) -> float:
-        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
-
-    def py(y: float) -> float:
-        return _MARGIN_T + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
-
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -278,7 +288,9 @@ def svg_line_plot(
     ]
     for k, (name, xs, ys) in enumerate(cleaned):
         color = _PALETTE[k % len(_PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        px = _MARGIN_L + (xs - x_lo) / (x_hi - x_lo) * plot_w
+        py = _MARGIN_T + (1.0 - (ys - y_lo) / (y_hi - y_lo)) * plot_h
+        pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
         )

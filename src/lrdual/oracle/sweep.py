@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
-from ..errors import ValidationError, check_count
+import numpy as np
+
+from ..errors import DomainError, ValidationError, check_count
 from ..schedules import ScheduleSpec, lr_curve, steps_from_fraction
 from .quadratic import sgd_monte_carlo_gap, sgd_quadratic_expected_gap
 from .rng import derive_seed
@@ -158,34 +160,42 @@ def _run_cell(
     mode: str,
     base_seed: int,
 ) -> SweepCellResult:
-    lrs = lr_curve(spec)
-    result = SweepCellResult(
-        index=index,
-        schedule=spec.kind.value,
-        peak_lr=spec.peak_base_lr,
-        decay_ratio=spec.decay_ratio,
-        sigma2=sigma2,
-        batch=batch,
-        steps=spec.total_steps,
-        stable=bool((lrs * grid.mu < 2.0).all()),
-    )
-    if not result.stable:
-        return result
-    sigma2_eff = sigma2 / batch
-    result.gap_analytic = float(
-        sgd_quadratic_expected_gap(lrs, grid.mu, sigma2_eff, grid.d0)[-1]
-    )
-    if mode == "monte-carlo":
-        mean, stderr = sgd_monte_carlo_gap(
-            lrs,
-            grid.mu,
-            sigma2_eff,
-            grid.d0,
-            trials=grid.trials,
-            seed=derive_seed(base_seed, index),
+    # Finite grid values can still overflow; such a cell is refused below
+    # instead of warned about and written as inf or nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lrs = lr_curve(spec)
+        result = SweepCellResult(
+            index=index,
+            schedule=spec.kind.value,
+            peak_lr=spec.peak_base_lr,
+            decay_ratio=spec.decay_ratio,
+            sigma2=sigma2,
+            batch=batch,
+            steps=spec.total_steps,
+            stable=bool((lrs * grid.mu < 2.0).all()),
         )
-        result.gap_mc_mean = mean
-        result.gap_mc_stderr = stderr
+        if result.stable:
+            sigma2_eff = sigma2 / batch
+            result.gap_analytic = float(
+                sgd_quadratic_expected_gap(lrs, grid.mu, sigma2_eff, grid.d0)[-1]
+            )
+            if mode == "monte-carlo":
+                result.gap_mc_mean, result.gap_mc_stderr = sgd_monte_carlo_gap(
+                    lrs,
+                    grid.mu,
+                    sigma2_eff,
+                    grid.d0,
+                    trials=grid.trials,
+                    seed=derive_seed(base_seed, index),
+                )
+    for name in ("gap_analytic", "gap_mc_mean", "gap_mc_stderr"):
+        value = getattr(result, name)
+        if value is not None and not math.isfinite(value):
+            raise DomainError(
+                f"sweep cell {index} ({result.schedule}, peak_lr={result.peak_lr!r}, "
+                f"sigma2={sigma2!r}, batch={batch}, steps={result.steps}): "
+                f"{name} is {value!r}"
+            )
     return result
 
 

@@ -464,6 +464,35 @@ class TestSweep:
         assert len(lines) == 1
         assert lines[0].startswith("lrdual: domain error:")
 
+    @pytest.mark.parametrize("mode", ["analytic", "monte-carlo"])
+    @pytest.mark.parametrize(
+        "document, overflows",
+        [
+            # the analytic gap stays finite; the Monte Carlo spread squares past 1e308
+            ({"sigma2s": [1e300], "d0": 1e300}, {"analytic": None,
+                                                 "monte-carlo": "gap_mc_stderr is inf"}),
+            ({"peak_lrs": [1e308], "sigma2s": [1e308], "mu": 1e-308},
+             {"analytic": "gap_analytic is inf", "monte-carlo": "gap_analytic is inf"}),
+        ],
+        ids=["huge-noise-and-start", "huge-peak-tiny-mu"],
+    )
+    def test_overflowing_cell_is_one_domain_line(self, tmp_path, capsys, document, overflows,
+                                                 mode):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({**self.CONFIG, **document}))
+        code = run(tmp_path, "sweep", "--config", str(path), "--mode", mode)
+        lines = capsys.readouterr().err.splitlines()
+        if overflows[mode] is None:
+            assert code == 0 and lines == []
+            _, rows = read_rows(tmp_path / "sweep.csv")
+            assert all(np.isfinite(float(r[6])) for r in rows if r[9] == "true")
+        else:
+            assert code == 2
+            assert len(lines) == 1
+            assert lines[0].startswith("lrdual: domain error: sweep cell 0 (linear, ")
+            assert lines[0].endswith(overflows[mode])
+            assert not (tmp_path / "sweep.csv").exists()
+
     def test_huge_trials_is_one_domain_line(self, tmp_path, capsys):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({**self.CONFIG, "trials": 10**20}))

@@ -1,12 +1,15 @@
 """Serialization: 17-digit round trips, CSV/SVG structure, manifests."""
 
 import json
+import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from lrdual import SmoothingSequence, ValidationError, coefficients_at, iter_coefficient_rows
+from lrdual.dual import DualCoefficients
 from lrdual.fileio import (
     RunManifest,
     columns_text,
@@ -18,6 +21,7 @@ from lrdual.fileio import (
     write_coefficient_matrix_csv,
     write_coefficients_csv,
     write_schedule_csv,
+    write_text_file,
 )
 
 
@@ -61,10 +65,41 @@ class TestColumnsText:
         expected = ["t,a,b"] + [
             f"{i},{fmt17(x)},{fmt17(y)}" for i, (x, y) in enumerate(zip(a, b), start=1)
         ]
-        assert columns_text("t,a,b", a, b) == "\n".join(expected) + "\n"
+        assert "".join(columns_text("t,a,b", a, b)) == "\n".join(expected) + "\n"
 
     def test_header_only_without_rows(self):
-        assert columns_text("t,a", np.array([])) == "t,a\n"
+        assert "".join(columns_text("t,a", np.array([]))) == "t,a\n"
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestStreamedMemory:
+    """Tables are written, and profiles read, without holding the whole file."""
+
+    def test_coefficients_csv_of_2e5_rows(self, tmp_path):
+        n = 200_000
+        log_c = np.log(np.random.default_rng(2).random(n)) - np.log(n)
+        coeffs = DualCoefficients(t=n, log_c=log_c)
+        coeffs.c  # materialized before tracing: only the writer is measured
+        path = tmp_path / "coefficients.csv"
+        assert traced_peak(write_coefficients_csv, path, coeffs) < 10e6
+
+    def test_target_profile_of_5e4_rows(self, tmp_path):
+        n = 50_000
+        weights = np.random.default_rng(3).random(n)
+        weights /= weights.sum()
+        path = tmp_path / "profile.csv"
+        write_text_file(path, columns_text("i,c", weights))
+        assert traced_peak(read_target_profile, path) < 8e6
 
 
 class TestCoefficientsCsv:
@@ -139,6 +174,70 @@ class TestReaders:
         path = tmp_path / "mult.txt"
         path.write_text("# comment\n1.0\n0.5\n\n0.25\n")
         assert read_multipliers(path) == (1.0, 0.5, 0.25)
+
+
+class TestProfileReader:
+    @pytest.mark.parametrize("header", ["", "i,c\n", "I , C\n"])
+    def test_unordered_rows(self, tmp_path, header):
+        path = tmp_path / "profile.csv"
+        path.write_text(header + "2,0.125\n4,0.5\n1,0.25\n3,0.125\n")
+        assert read_target_profile(path).weights.tolist() == [0.25, 0.125, 0.125, 0.5]
+
+    def test_comments_blank_lines_and_spaces(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text("# a target\n\ni,c\n  # indented comment\n 2 , 0.75 \n\n1,0.25\n")
+        assert read_target_profile(path).weights.tolist() == [0.25, 0.75]
+
+    def test_many_rows_keep_their_values(self, tmp_path):
+        weights = np.random.default_rng(3).random(5000)
+        weights /= weights.sum()
+        order = np.random.default_rng(4).permutation(5000)
+        path = tmp_path / "profile.csv"
+        path.write_text("".join(f"{k + 1},{fmt17(weights[k])}\n" for k in order))
+        assert np.array_equal(read_target_profile(path).weights, weights)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("i,c\n1,0.5\n2,0.25,9\n3,0.25\n", "profile.csv:3: expected 2 fields, got 3"),
+            ("1,0.5\n\n# c\n2\n", "profile.csv:4: expected 2 fields, got 1"),
+            ("i,c\n1,0.5\n2,spam\n", "malformed profile row: could not convert string to float"),
+            ("i,c\n1,0.5\nx,0.5\n", "malformed profile row: invalid literal for int()"),
+            ("i,c\n1,0.5\n1.0,0.5\n", "malformed profile row: invalid literal for int()"),
+            ("i,c\n1,0.5\n1,0.5\n", "profile indices must be 1..2"),
+            ("i,c\n1,0.5\n3,0.5\n", "profile indices must be 1..2"),
+            ("2,0.5\n3,0.5\n", "profile indices must be 1..2"),
+            ("0,0.5\n1,0.5\n", "profile indices must be 1..2"),
+            ("1,0.5\n99999999999999999999999,0.5\n", "profile indices must be 1..2"),
+            ("-5,0.5\n9223372036854775808,0.5\n", "profile indices must be 1..2"),
+            ("", "profile.csv: no data rows"),
+            ("# only a comment\n\n", "profile.csv: no data rows"),
+            ("i,c\n", "weights must be a non-empty 1-D sequence"),
+        ],
+    )
+    def test_faults_keep_their_messages(self, tmp_path, text, message):
+        path = tmp_path / "profile.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            read_target_profile(path)
+
+
+@pytest.mark.parametrize(
+    "reader, header, row",
+    [
+        (read_target_profile, "i,c\n", "1,0.5\n"),
+        (read_points, "x,y\n", "1,4\n"),
+        (read_multipliers, "", "0.5\n"),
+    ],
+    ids=["profile", "points", "multipliers"],
+)
+def test_non_utf8_after_first_chunk(tmp_path, reader, header, row):
+    # text is decoded in 8 KiB chunks: the bad byte is met after earlier lines were read
+    rows = row.encode() * (9000 // len(row) + 1)
+    path = tmp_path / "input.csv"
+    path.write_bytes(header.encode() + rows + b"\xff\n" + row.encode())
+    with pytest.raises(ValidationError, match="not UTF-8 text"):
+        reader(path)
 
 
 class TestSvg:
