@@ -14,6 +14,11 @@ view of an LR schedule. Coefficients underflow double precision long before
 they stop being meaningful, so all products are accumulated as sums of logs
 in extended precision, with exact zeros (alpha == 0 inputs, alpha == 1
 resets) tracked separately instead of clamped.
+
+The log tables and every row are built in place: the final row costs about
+four doubles per input (two for the ``longdouble`` prefix sums, one each for
+``log(alpha)`` and the row), and each streamed row costs O(t) with no index
+arrays.
 """
 
 from __future__ import annotations
@@ -98,56 +103,46 @@ def materialize_log_coefficients(log_c: np.ndarray) -> np.ndarray:
 _CUMSUM_BLOCK = 64
 
 
-def _blocked_cumsum(x: np.ndarray) -> np.ndarray:
-    """Inclusive cumulative sum with block-carried accumulation.
-
-    Plain sequential summation of n terms leaves O(n * ulp(total)) of
-    rounding in every prefix; summing within blocks and carrying only block
-    totals divides that by the block length, which matters when prefixes
-    reach hundreds (log-space products over thousands of steps).
-    """
-    n = len(x)
-    if n <= _CUMSUM_BLOCK:
-        return np.cumsum(x)
-    pad = (-n) % _CUMSUM_BLOCK
-    padded = np.concatenate([x, np.zeros(pad, dtype=x.dtype)])
-    blocks = padded.reshape(-1, _CUMSUM_BLOCK)
-    within = np.cumsum(blocks, axis=1)
-    offsets = np.concatenate([
-        np.zeros(1, dtype=x.dtype),
-        np.cumsum(within[:-1, -1]),
-    ])
-    return (within + offsets[:, None]).reshape(-1)[:n]
-
-
 def _log_tables(seq: SmoothingSequence):
-    """Prefix sums of log(1 - alpha_j) over j >= 2, with reset bookkeeping.
+    """Prefix sums of log(1 - alpha_j) over j >= 2, with reset positions.
 
     Returns ``(log_alpha, prefix, resets)`` where ``prefix[k]`` is the
     extended-precision sum of ``log1p(-alpha_j)`` for inputs 2..k+1 and
-    ``resets[k]`` counts the exact-zero factors in the same range.
+    ``resets`` holds the sorted 0-based positions of the ``alpha == 1``
+    inputs, position 0 (the initial input) included. A reset contributes a
+    zero term to ``prefix``; :func:`_row` turns it into exact zeros instead.
+
+    The prefix is summed within 64-term blocks and only block totals are
+    carried: plain sequential summation of n terms leaves O(n * ulp(total))
+    of rounding in every prefix, and blocking divides that by the block
+    length, which matters when prefixes reach hundreds (log-space products
+    over thousands of steps). All of it runs in one padded ``longdouble``
+    buffer, so the tables cost three doubles per input.
     """
     a = seq.alphas
-    with np.errstate(divide="ignore"):
+    n = len(a) - 1
+    resets = np.flatnonzero(a >= 1.0)
+    buf = np.zeros(1 + n + (-n) % _CUMSUM_BLOCK, dtype=np.longdouble)
+    terms = np.negative(a[1:], out=buf[1 : n + 1])
+    with np.errstate(divide="ignore"):  # log(0) and log1p(-1) are -inf
         log_alpha = np.log(a)
-    is_reset = a >= 1.0
-    steps = np.zeros(len(a), dtype=np.longdouble)
-    live = ~is_reset
-    steps[live] = np.log1p(-a[live].astype(np.longdouble))
-    prefix = np.concatenate([
-        np.zeros(1, dtype=np.longdouble),
-        _blocked_cumsum(steps[1:]),
-    ])
-    resets = np.concatenate([[0], np.cumsum(is_reset[1:])])
-    return log_alpha, prefix, resets
+        np.log1p(terms, out=terms)
+    buf[resets] = 0.0
+    blocks = buf[1:].reshape(-1, _CUMSUM_BLOCK)
+    np.cumsum(blocks, axis=1, out=blocks)
+    if len(blocks) > 1:
+        blocks[1:] += np.cumsum(blocks[:-1, -1])[:, None]
+    return log_alpha, buf[: n + 1], resets
 
 
 def _row(log_alpha: np.ndarray, prefix: np.ndarray, resets: np.ndarray, t: int) -> np.ndarray:
-    idx = np.arange(t)
-    tail = np.asarray(prefix[t - 1] - prefix[idx], dtype=np.float64)
-    log_c = log_alpha[:t] + tail
-    log_c[(resets[t - 1] - resets[idx]) > 0] = -np.inf
-    return log_c
+    """Log-coefficients of inputs 1..t at step ``t``: O(t) memory, no index arrays."""
+    row = np.empty(t)
+    np.subtract(prefix[t - 1], prefix[:t], out=row, casting="same_kind")
+    row += log_alpha[:t]
+    # every input before the last reset at or before t carries an exact zero
+    row[: resets[np.searchsorted(resets, t) - 1]] = -np.inf
+    return row
 
 
 def coefficients_at(alphas: SmoothingSequence) -> DualCoefficients:
@@ -160,8 +155,9 @@ def coefficients_at(alphas: SmoothingSequence) -> DualCoefficients:
 def iter_coefficient_rows(alphas: SmoothingSequence):
     """Yield the log-coefficient row of every step ``t = 1..len(alphas)``.
 
-    Row ``t`` has length ``t``; streaming keeps full-table exports linear in
-    memory. The last row is bit-identical to ``coefficients_at(alphas).log_c``.
+    Row ``t`` has length ``t`` and is a fresh array; streaming keeps
+    full-table exports linear in memory. The last row is bit-identical to
+    ``coefficients_at(alphas).log_c``.
     """
     log_alpha, prefix, resets = _log_tables(alphas)
     for t in range(1, len(alphas) + 1):

@@ -249,53 +249,76 @@ def mup_scale(peak_base_lr: float, mup_factor: float) -> float:
     return mup_factor * peak_base_lr
 
 
-def _decay_shape(spec: ScheduleSpec, t: np.ndarray, w_eff: float) -> np.ndarray:
-    """Shape multiplier on the decay phase; ``t`` holds indices > w_eff."""
+def _decay_shape(spec: ScheduleSpec, t: np.ndarray, w_eff: float) -> None:
+    """Overwrite ``t``, consecutive step indices > w_eff, with the decay multiplier."""
     T = spec.total_steps
     r = spec.decay_ratio
     kind = spec.kind
     if kind is ScheduleKind.CONSTANT:
-        return np.ones_like(t)
-    if kind is ScheduleKind.LINEAR:
-        s = (t - w_eff) / (T - w_eff)
-        return 1.0 - (1.0 - r) * s
-    if kind is ScheduleKind.COSINE:
-        s = (t - w_eff) / (T - w_eff)
-        return r + (1.0 - r) * (1.0 + np.cos(np.pi * s)) / 2.0
-    if kind is ScheduleKind.INVSQRT:
-        return np.sqrt(w_eff / t)
-    if kind is ScheduleKind.STEP:
+        t[...] = 1.0
+    elif kind is ScheduleKind.LINEAR:
+        t -= w_eff
+        t /= T - w_eff
+        t *= 1.0 - r
+        np.subtract(1.0, t, out=t)
+    elif kind is ScheduleKind.COSINE:
+        t -= w_eff
+        t /= T - w_eff
+        t *= np.pi
+        np.cos(t, out=t)
+        t += 1.0
+        t *= 1.0 - r
+        t /= 2.0
+        t += r
+    elif kind is ScheduleKind.INVSQRT:
+        np.divide(w_eff, t, out=t)
+        np.sqrt(t, out=t)
+    elif kind is ScheduleKind.STEP:
         milestone = _snap_ceil(spec._number("milestone_fraction", 0.9) * T)
-        drop = spec._number("drop_fraction", 0.001)
-        return np.where(t <= milestone, 1.0, drop)
-    if kind is ScheduleKind.WSD:
+        k = np.searchsorted(t, milestone, side="right")
+        t[:k] = 1.0
+        t[k:] = spec._number("drop_fraction", 0.001)
+    elif kind is ScheduleKind.WSD:
         start = spec._wsd_cooldown_start()
-        return np.where(t <= start, 1.0, (T - t) / (T - start))
-    if kind is ScheduleKind.CYCLIC:
+        k = np.searchsorted(t, start, side="right")
+        t[:k] = 1.0
+        cooldown = t[k:]
+        np.subtract(T, cooldown, out=cooldown)
+        cooldown /= T - start
+    elif kind is ScheduleKind.CYCLIC:
         period = float(spec._param("period_steps"))
-        phase = np.mod(t - w_eff, period) / period
-        tri = np.where(phase <= 0.5, 2.0 * phase, 2.0 * (1.0 - phase))
-        return 1.0 - (1.0 - r) * tri
-    if kind is ScheduleKind.RATIONAL:
+        t -= w_eff
+        np.mod(t, period, out=t)
+        t /= period
+        # triangle wave: 2 * phase up to half a period, 2 * (1 - phase) after
+        np.subtract(1.0, t, out=t, where=t > 0.5)
+        t *= 2.0
+        t *= 1.0 - r
+        np.subtract(1.0, t, out=t)
+    elif kind is ScheduleKind.RATIONAL:
         # Harmonic closed form of the recurrence lr' = lr / (1 + lr * wd),
         # seeded at the realized peak when warmup ends.
-        wd = spec._number("weight_decay")
-        return 1.0 / (1.0 + wd * spec.peak_lr * (t - w_eff))
-    if kind is ScheduleKind.PIECEWISE:
-        mult = spec._multipliers()
-        return mult[(t - w_eff - 1.0).astype(np.intp)]
-    raise AssertionError(f"unhandled kind {kind}")  # pragma: no cover
+        t -= w_eff
+        t *= spec._number("weight_decay") * spec.peak_lr
+        t += 1.0
+        np.divide(1.0, t, out=t)
+    elif kind is ScheduleKind.PIECEWISE:
+        first = int(t[0] - w_eff) - 1
+        t[...] = spec._multipliers()[first : first + len(t)]
+    else:  # pragma: no cover
+        raise AssertionError(f"unhandled kind {kind}")
 
 
-def _shape(spec: ScheduleSpec, t: np.ndarray) -> np.ndarray:
+def _lrs(spec: ScheduleSpec, t: np.ndarray) -> np.ndarray:
+    """Overwrite ``t``, ascending consecutive step indices, with their learning rates."""
     w_eff = float(spec.effective_warmup)
-    shape = np.empty_like(t)
-    warm = t <= w_eff
-    shape[warm] = t[warm] / w_eff
-    decay = ~warm
-    if decay.any():
-        shape[decay] = _decay_shape(spec, t[decay], w_eff)
-    return shape
+    k = np.searchsorted(t, w_eff, side="right")
+    t[:k] /= w_eff
+    if k < len(t):
+        _decay_shape(spec, t[k:], w_eff)
+    t *= spec.peak_base_lr
+    t *= spec.mup_factor
+    return t
 
 
 def lr_at(spec: ScheduleSpec, t: int) -> float:
@@ -305,14 +328,12 @@ def lr_at(spec: ScheduleSpec, t: int) -> float:
         raise ValidationError(
             f"step index t={t} outside the schedule range 1..{spec.total_steps}"
         )
-    base = spec.peak_base_lr * _shape(spec, np.array([float(t)]))
-    return float(spec.mup_factor * base[0])
+    return float(_lrs(spec, np.array([float(t)]))[0])
 
 
 def lr_curve(spec: ScheduleSpec) -> np.ndarray:
     """All ``total_steps`` learning rates; index ``t - 1`` equals ``lr_at(spec, t)``."""
-    base = spec.peak_base_lr * _shape(spec, step_array(spec.total_steps))
-    return spec.mup_factor * base
+    return _lrs(spec, step_array(spec.total_steps))
 
 
 def alpha_curve(spec: ScheduleSpec, weight_decay: float) -> np.ndarray:
@@ -324,11 +345,12 @@ def alpha_curve(spec: ScheduleSpec, weight_decay: float) -> np.ndarray:
     """
     if not (weight_decay >= 0 and math.isfinite(weight_decay)):
         raise ValidationError(f"weight_decay must be non-negative, got {weight_decay}")
-    alphas = lr_curve(spec) * weight_decay
-    bad = np.nonzero(alphas > 1.0)[0]
-    if bad.size:
+    alphas = lr_curve(spec)
+    alphas *= weight_decay
+    if alphas.max() > 1.0:
+        bad = int(np.argmax(alphas > 1.0))
         raise DomainError(
-            f"smoothing alpha={alphas[bad[0]]} > 1 at step {bad[0] + 1}; "
+            f"smoothing alpha={alphas[bad]} > 1 at step {bad + 1}; "
             f"lower the learning rate or weight decay"
         )
     return alphas

@@ -1,10 +1,11 @@
-"""Shared generators for randomized schedule specs used across test modules."""
+"""Shared test helpers: randomized schedule specs and out-of-place references."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from lrdual import ScheduleKind, ScheduleSpec
+from lrdual.schedules import _snap_ceil
 
 ALL_KINDS = list(ScheduleKind)
 
@@ -38,3 +39,102 @@ def random_spec_and_wd(rng: np.random.Generator, max_steps: int = 5000, alpha_ca
         kind_params=params,
     )
     return spec, wd
+
+
+# -- out-of-place references ----------------------------------------------------
+#
+# The library builds the dual tables and LR curves in place, in the same
+# operation order as these straightforward formulas; tests require their
+# results to be bit-identical.
+
+_CUMSUM_BLOCK = 64
+
+
+def reference_blocked_cumsum(x: np.ndarray) -> np.ndarray:
+    """Inclusive cumulative sum summed within 64-term blocks, block totals carried."""
+    n = len(x)
+    if n <= _CUMSUM_BLOCK:
+        return np.cumsum(x)
+    pad = (-n) % _CUMSUM_BLOCK
+    padded = np.concatenate([x, np.zeros(pad, dtype=x.dtype)])
+    blocks = padded.reshape(-1, _CUMSUM_BLOCK)
+    within = np.cumsum(blocks, axis=1)
+    offsets = np.concatenate([
+        np.zeros(1, dtype=x.dtype),
+        np.cumsum(within[:-1, -1]),
+    ])
+    return (within + offsets[:, None]).reshape(-1)[:n]
+
+
+def reference_log_tables(alphas: np.ndarray):
+    """``(log_alpha, prefix, resets)`` with ``resets[k]`` counting resets in inputs 2..k+1."""
+    a = np.asarray(alphas, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        log_alpha = np.log(a)
+    is_reset = a >= 1.0
+    steps = np.zeros(len(a), dtype=np.longdouble)
+    live = ~is_reset
+    steps[live] = np.log1p(-a[live].astype(np.longdouble))
+    prefix = np.concatenate([
+        np.zeros(1, dtype=np.longdouble),
+        reference_blocked_cumsum(steps[1:]),
+    ])
+    resets = np.concatenate([[0], np.cumsum(is_reset[1:])])
+    return log_alpha, prefix, resets
+
+
+def reference_row(log_alpha, prefix, resets, t: int) -> np.ndarray:
+    """Log-coefficients of inputs 1..t at step ``t``."""
+    idx = np.arange(t)
+    tail = np.asarray(prefix[t - 1] - prefix[idx], dtype=np.float64)
+    log_c = log_alpha[:t] + tail
+    log_c[(resets[t - 1] - resets[idx]) > 0] = -np.inf
+    return log_c
+
+
+def _reference_decay_shape(spec: ScheduleSpec, t: np.ndarray, w_eff: float) -> np.ndarray:
+    T = spec.total_steps
+    r = spec.decay_ratio
+    kind = spec.kind
+    if kind is ScheduleKind.CONSTANT:
+        return np.ones_like(t)
+    if kind is ScheduleKind.LINEAR:
+        s = (t - w_eff) / (T - w_eff)
+        return 1.0 - (1.0 - r) * s
+    if kind is ScheduleKind.COSINE:
+        s = (t - w_eff) / (T - w_eff)
+        return r + (1.0 - r) * (1.0 + np.cos(np.pi * s)) / 2.0
+    if kind is ScheduleKind.INVSQRT:
+        return np.sqrt(w_eff / t)
+    if kind is ScheduleKind.STEP:
+        milestone = _snap_ceil(spec._number("milestone_fraction", 0.9) * T)
+        drop = spec._number("drop_fraction", 0.001)
+        return np.where(t <= milestone, 1.0, drop)
+    if kind is ScheduleKind.WSD:
+        start = spec._wsd_cooldown_start()
+        return np.where(t <= start, 1.0, (T - t) / (T - start))
+    if kind is ScheduleKind.CYCLIC:
+        period = float(spec._param("period_steps"))
+        phase = np.mod(t - w_eff, period) / period
+        tri = np.where(phase <= 0.5, 2.0 * phase, 2.0 * (1.0 - phase))
+        return 1.0 - (1.0 - r) * tri
+    if kind is ScheduleKind.RATIONAL:
+        wd = spec._number("weight_decay")
+        return 1.0 / (1.0 + wd * spec.peak_lr * (t - w_eff))
+    if kind is ScheduleKind.PIECEWISE:
+        mult = spec._multipliers()
+        return mult[(t - w_eff - 1.0).astype(np.intp)]
+    raise AssertionError(f"unhandled kind {kind}")
+
+
+def reference_lr_curve(spec: ScheduleSpec) -> np.ndarray:
+    """All ``total_steps`` learning rates, masks and copies instead of in-place slices."""
+    t = np.arange(1, spec.total_steps + 1, dtype=np.float64)
+    w_eff = float(spec.effective_warmup)
+    shape = np.empty_like(t)
+    warm = t <= w_eff
+    shape[warm] = t[warm] / w_eff
+    decay = ~warm
+    if decay.any():
+        shape[decay] = _reference_decay_shape(spec, t[decay], w_eff)
+    return spec.mup_factor * (spec.peak_base_lr * shape)

@@ -1,5 +1,7 @@
 """Dual coefficients: exactness, convexity, and the initial-weight approximations."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,34 @@ from lrdual import (
 )
 from lrdual.dual import materialize_log_coefficients
 
+from helpers import reference_log_tables, reference_row
+
 
 def seq(*alphas):
     return SmoothingSequence(np.array(alphas, dtype=np.float64))
+
+
+def edge_alphas(n, seed, variant="mixed"):
+    """``n`` seeded inputs with alpha = 0, interior resets and alpha a few ulps below 1.
+
+    ``variant`` "last_reset" ends on a reset; "leading_zeros" opens with a run
+    of alpha = 0 inputs across the first 64-term block edge.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 0.9, n)
+    a[rng.uniform(size=n) < 0.05] = 0.0
+    a[rng.uniform(size=n) < 0.02] = 1.0
+    if n > 4:
+        a[1] = 0.0
+        a[n // 2] = 1.0
+        a[n // 3 + 1] = 1.0 - 3 * np.finfo(np.float64).epsneg
+        a[2 * n // 3 + 1] = 1.0 - np.finfo(np.float64).epsneg
+    if variant == "last_reset":
+        a[-1] = 1.0
+    elif variant == "leading_zeros":
+        a[1:70] = 0.0
+    a[0] = 1.0
+    return a
 
 
 class TestSmoothingSequence:
@@ -125,6 +152,39 @@ class TestCoefficientRows:
         assert [len(r) for r in rows] == list(range(1, 122))
         for row in rows:
             assert abs(materialize_log_coefficients(row).sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("variant", ["mixed", "last_reset", "leading_zeros"])
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 66, 129, 4097])
+    def test_bit_identical_to_out_of_place_reference(self, n, variant):
+        # The tables are built in place; every row must keep the bytes of the
+        # out-of-place formulas, also across the 64-term block edges.
+        alphas = edge_alphas(n, seed=n, variant=variant)
+        s = SmoothingSequence(alphas)
+        tables = reference_log_tables(alphas)
+        for t, row in enumerate(iter_coefficient_rows(s), start=1):
+            assert row.tobytes() == reference_row(*tables, t).tobytes(), t
+        assert coefficients_at(s).log_c.tobytes() == reference_row(*tables, n).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 40])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_exact_fraction_products(self, n, seed):
+        # c_{t,i} = alpha_i * prod_{j>i} (1 - alpha_j) in exact rationals. The
+        # computed log_c carries a few roundings of its own magnitude, which
+        # exp turns into a relative error; allow 4 ulps of that plus exp's own.
+        alphas = edge_alphas(n, seed)
+        exact_alphas = [Fraction(float(x)) for x in alphas]
+        eps = np.finfo(np.float64).eps
+        for t in range(1, n + 1):
+            got = coefficients_at(SmoothingSequence(alphas[:t]))
+            survive = Fraction(1)
+            for i in range(t - 1, -1, -1):
+                exact = exact_alphas[i] * survive
+                survive *= 1 - exact_alphas[i]
+                if exact == 0:
+                    assert got.c[i] == 0.0, (t, i)
+                    continue
+                tol = Fraction(4 * eps * (1.0 + abs(float(got.log_c[i]))))
+                assert abs(Fraction(float(got.c[i])) - exact) <= tol * exact, (t, i)
 
     def test_last_row_bit_identical_to_coefficients_at(self):
         rng = np.random.default_rng(11)

@@ -20,6 +20,8 @@ from lrdual import (
     mup_scale,
 )
 
+from helpers import reference_lr_curve
+
 
 def linear(total, warmup, peak_base=1.0, rho=1.0, ratio=0.0):
     return ScheduleSpec(
@@ -76,7 +78,43 @@ class TestLrAt:
         assert all(curve[t - 1] == lr_at(spec, t) for t in range(1, 138))
 
 
+def edge_spec(kind, total, warmup, ratio):
+    params = {}
+    if kind is ScheduleKind.STEP:
+        params = {"milestone_fraction": 0.5 if warmup < total // 2 else 1.0}
+    elif kind is ScheduleKind.CYCLIC:
+        params = {"period_steps": 7}
+    elif kind is ScheduleKind.RATIONAL:
+        params = {"weight_decay": 0.1}
+    elif kind is ScheduleKind.PIECEWISE:
+        rng = np.random.default_rng(total)
+        params = {"multipliers": tuple(rng.uniform(0.0, 1.0, total - max(warmup, 1)))}
+    return ScheduleSpec(
+        kind=kind,
+        total_steps=total,
+        peak_base_lr=1.6e-2,
+        warmup_steps=warmup,
+        mup_factor=0.125,
+        decay_ratio=ratio,
+        kind_params=params,
+    )
+
+
 class TestLrCurve:
+    @pytest.mark.parametrize("ratio", [0.0, 0.1])
+    @pytest.mark.parametrize("kind", list(ScheduleKind))
+    def test_bit_identical_to_out_of_place_reference(self, kind, ratio):
+        # warmup 0, warmup T - 1 (one decay step), no decay phase at all
+        # (T = 1) and a mid-run warmup; lr_at must agree at the seams.
+        for total, warmup in [(1, 0), (2, 1), (50, 0), (50, 49), (50, 7), (1000, 100)]:
+            if kind is ScheduleKind.WSD and total == 1:
+                continue  # a one-step WSD run has no stable phase and is refused
+            spec = edge_spec(kind, total, warmup, ratio)
+            expected = reference_lr_curve(spec)
+            assert lr_curve(spec).tobytes() == expected.tobytes(), (total, warmup)
+            for t in {1, max(warmup, 1), min(warmup + 1, total), (total + 1) // 2, total}:
+                assert lr_at(spec, t) == expected[t - 1], (total, warmup, t)
+
     def test_constant(self):
         spec = ScheduleSpec(
             kind=ScheduleKind.CONSTANT, total_steps=3, peak_base_lr=0.5, warmup_steps=1
@@ -365,6 +403,12 @@ def test_peak_invariance(spec):
     assert curve.max() == peak
     assert curve[spec.effective_warmup - 1] == peak
     assert np.all(curve >= 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=specs())
+def test_curve_bit_identical_to_reference(spec):
+    assert lr_curve(spec).tobytes() == reference_lr_curve(spec).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
