@@ -11,7 +11,6 @@ reference AdamW plus bias/variance experiments on noisy quadratics
 from .designer import (
     DesignedSchedule,
     TargetProfile,
-    coefficient_ratio,
     rational_schedule,
     schedule_from_coefficients,
 )
@@ -33,7 +32,7 @@ from .errors import (
     NonFiniteGradientError,
     ValidationError,
 )
-from .scaling import ExtrapolationWarning, PowerLawFit, fit_power_law, predict, slope_gap
+from .scaling import PowerLawFit, fit_power_law, slope_gap
 from .schedules import (
     ScheduleKind,
     ScheduleSpec,
@@ -65,12 +64,9 @@ __all__ = [
     "TargetProfile",
     "DesignedSchedule",
     "rational_schedule",
-    "coefficient_ratio",
     "schedule_from_coefficients",
     "PowerLawFit",
-    "ExtrapolationWarning",
     "fit_power_law",
-    "predict",
     "slope_gap",
     "LRDualError",
     "ValidationError",

@@ -276,23 +276,26 @@ def _cmd_simulate(args):
             yield theta, x
 
     rel_err = None
-    # a squared distance past the float range is reported as inf
+    # A squared distance past the float range becomes inf; the summary
+    # refuses an infinite final one before anything is written.
     with np.errstate(over="ignore"):
         if coeffs is None:
             for _ in rows():
                 pass
         else:
             _, rel_err = reconstruct(coeffs.c, rows())
+    summary = float_json_text(
+        {
+            "final_dist_sq": dist_sq[-1],
+            "reconstruction_relative_error": rel_err,
+            "tpp_analog": spec.total_steps * args.batch / args.dim,
+        }
+    )
     out = _out_dir(args)
     write_text_file(
         out / "trace.csv", columns_text("step,lr,alpha,dist_sq", lrs, alphas, dist_sq)
     )
-    summary = {
-        "final_dist_sq": dist_sq[-1],
-        "reconstruction_relative_error": rel_err,
-        "tpp_analog": spec.total_steps * args.batch / args.dim,
-    }
-    write_text_file(out / "summary.json", float_json_text(summary))
+    write_text_file(out / "summary.json", summary)
     series = [("squared distance", np.arange(1, spec.total_steps + 1), dist_sq)]
     style = dict(
         title="distance to optimum", x_label="step", y_label="squared distance", log_y=True
@@ -318,10 +321,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_fit(args):
-    out = _out_dir(args)
     points = read_points(Path(args.in_path))
     fit = fit_power_law(points)
-    write_fit_json(out / "fit.json", fit)
+    write_fit_json(_out_dir(args) / "fit.json", fit)
     xs, ys = np.array(sorted(points)).T
     series = [("data", xs, ys), ("fit", xs, fit.coefficient * xs**fit.exponent)]
     style = dict(title="power-law fit", x_label="x", y_label="y", log_y=True)

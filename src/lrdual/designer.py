@@ -25,7 +25,6 @@ __all__ = [
     "TargetProfile",
     "DesignedSchedule",
     "rational_schedule",
-    "coefficient_ratio",
     "schedule_from_coefficients",
 ]
 
@@ -110,15 +109,6 @@ def rational_schedule(
             kind_params={"weight_decay": weight_decay},
         )
     )
-
-
-def coefficient_ratio(alpha_i: float, alpha_next: float) -> float:
-    """Ratio of adjacent dual coefficients, independent of the step count."""
-    if not (0.0 < alpha_i <= 1.0) or not math.isfinite(alpha_i):
-        raise DomainError(f"alpha_i must be in (0, 1], got {alpha_i}")
-    if not (0.0 < alpha_next < 1.0) or not math.isfinite(alpha_next):
-        raise DomainError(f"alpha_next must be in (0, 1), got {alpha_next}")
-    return alpha_next / ((1.0 - alpha_next) * alpha_i)
 
 
 def schedule_from_coefficients(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .designer import TargetProfile
 from .dual import DualCoefficients, LOG_FLUSH_THRESHOLD
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .oracle.sweep import SweepCellResult
 from .scaling import PowerLawFit
 
@@ -78,7 +78,14 @@ def columns_text(header: str, *columns: np.ndarray) -> Iterator[str]:
 
 
 def float_json_text(fields: Mapping[str, Optional[float]]) -> str:
-    """One-line JSON object of floats in 17 digits; None becomes ``null``."""
+    """One-line JSON object of floats in 17 digits; None becomes ``null``.
+
+    JSON has no inf or nan, so a non-finite value raises :class:`DomainError`
+    naming its field.
+    """
+    for key, value in fields.items():
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{key} is {float(value)!r}; JSON cannot hold it")
     body = ", ".join(
         f'"{key}": {"null" if value is None else fmt17(value)}'
         for key, value in fields.items()

@@ -134,7 +134,7 @@ def _steps(
         dim = problem.dim
         noise_std = math.sqrt(problem.effective_noise_var)
         optimum = problem.theta_star()
-        curvature = problem.curvature_vector
+        curvature = problem.curvature
         g = np.empty(dim)
 
         def gradient_at(step: int, theta: np.ndarray) -> np.ndarray:

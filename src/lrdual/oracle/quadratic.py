@@ -6,16 +6,14 @@ variance ``s2`` and squared start distance ``d0``, SGD with step sizes
 
     e_t = (1 - lr_t * mu)^2 * e_{t-1} + lr_t^2 * s2,    e_0 = d0,
 
-and a constant learning rate admits the classical two-term bound
-``(1 - lr*mu)^t * d0 + lr * s2``: a bias term shrinking geometrically and a
-variance floor proportional to the learning rate.
+which is stable while every ``lr_t * mu`` stays in [0, 2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -24,11 +22,8 @@ from .rng import normal_field
 
 __all__ = [
     "QuadraticProblem",
-    "GapBound",
-    "sgd_gap_bound",
     "sgd_quadratic_expected_gap",
     "sgd_monte_carlo_gap",
-    "check_sgd_stability",
 ]
 
 
@@ -68,10 +63,6 @@ class QuadraticProblem:
         check_count("batch_size", self.batch_size)
 
     @property
-    def curvature_vector(self) -> np.ndarray:
-        return self.curvature  # type: ignore[return-value]
-
-    @property
     def effective_noise_var(self) -> float:
         return self.noise_var / self.batch_size
 
@@ -84,38 +75,11 @@ class QuadraticProblem:
         return self.theta_star() + offset * signs
 
 
-class GapBound(NamedTuple):
-    """Two-term gap bound with its bias and variance parts."""
-
-    total: float
-    bias: float
-    variance: float
-
-
-def sgd_gap_bound(lr: float, mu: float, noise_var: float, d0: float, t: int) -> GapBound:
-    """Constant-LR bound ``(1 - lr*mu)^t * d0 + lr * noise_var``."""
-    check_count("t", t, minimum=0)
-    if not (mu > 0 and math.isfinite(mu)):
-        raise DomainError(f"mu must be positive, got {mu}")
-    if not (noise_var >= 0 and d0 >= 0):
-        raise DomainError("noise_var and d0 must be non-negative")
-    if not 0.0 < lr * mu < 1.0:
-        raise DomainError(f"lr*mu={lr * mu} must be in (0, 1) for the bound to hold")
-    bias = (1.0 - lr * mu) ** t * d0
-    variance = lr * noise_var
-    return GapBound(total=bias + variance, bias=bias, variance=variance)
-
-
-def check_sgd_stability(lrs: np.ndarray, mu: float) -> None:
-    """Raise unless ``lr_t * mu`` stays in [0, 2) for every step."""
-    lrs = np.asarray(lrs, dtype=np.float64)
+def _first_unstable_step(lrs: np.ndarray, mu: float) -> Optional[int]:
+    """The 1-based first step whose ``lr * mu`` leaves [0, 2), or None."""
     prod = lrs * mu
-    bad = np.nonzero((prod >= 2.0) | (prod < 0.0))[0]
-    if bad.size:
-        raise DomainError(
-            f"unstable step size at step {bad[0] + 1}: lr*mu={prod[bad[0]]} "
-            f"outside [0, 2)"
-        )
+    bad = np.flatnonzero(~((prod >= 0.0) & (prod < 2.0)))
+    return int(bad[0]) + 1 if bad.size else None
 
 
 def _check_chain(
@@ -127,7 +91,12 @@ def _check_chain(
     if not (0 <= noise_var_eff < math.inf and 0 <= d0 < math.inf):
         raise DomainError("noise_var_eff and d0 must be finite and non-negative")
     lrs = np.asarray(lr_curve, dtype=np.float64)
-    check_sgd_stability(lrs, mu)
+    step = _first_unstable_step(lrs, mu)
+    if step is not None:
+        raise DomainError(
+            f"unstable step size at step {step}: lr*mu={lrs[step - 1] * mu} "
+            f"outside [0, 2)"
+        )
     return lrs
 
 

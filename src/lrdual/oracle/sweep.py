@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import DomainError, ValidationError, check_count
 from ..schedules import ScheduleSpec, lr_curve, steps_from_fraction
-from .quadratic import sgd_monte_carlo_gap, sgd_quadratic_expected_gap
+from .quadratic import _first_unstable_step, sgd_monte_carlo_gap, sgd_quadratic_expected_gap
 from .rng import derive_seed
 
 __all__ = ["SweepSchedule", "SweepGrid", "SweepCellResult", "run_noise_sweep"]
@@ -172,7 +172,7 @@ def _run_cell(
             sigma2=sigma2,
             batch=batch,
             steps=spec.total_steps,
-            stable=bool((lrs * grid.mu < 2.0).all()),
+            stable=_first_unstable_step(lrs, grid.mu) is None,
         )
         if result.stable:
             sigma2_eff = sigma2 / batch

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -11,29 +9,16 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 
-__all__ = [
-    "PowerLawFit",
-    "ExtrapolationWarning",
-    "fit_power_law",
-    "predict",
-    "slope_gap",
-]
-
-
-class ExtrapolationWarning(UserWarning):
-    """Prediction requested far outside the fitted x range."""
+__all__ = ["PowerLawFit", "fit_power_law", "slope_gap"]
 
 
 @dataclass(frozen=True)
 class PowerLawFit:
-    """Fitted ``y = coefficient * x ** exponent`` with its quality and range."""
+    """Fitted ``y = coefficient * x ** exponent`` with its quality."""
 
     coefficient: float
     exponent: float
     r_squared: float
-    x_min: float
-    x_max: float
-    n_points: int
 
 
 def fit_power_law(points: Iterable[Sequence[float]]) -> PowerLawFit:
@@ -64,7 +49,12 @@ def fit_power_law(points: Iterable[Sequence[float]]) -> PowerLawFit:
     dx = lx - mx
     dy = ly - my
     slope = float((dx * dy).sum() / (dx * dx).sum())
-    coefficient = float(np.exp(my - np.longdouble(slope) * mx))
+    with np.errstate(over="ignore"):
+        coefficient = float(np.exp(my - np.longdouble(slope) * mx))
+    if not np.isfinite(coefficient):
+        raise DomainError(
+            f"fitted coefficient is {coefficient!r}: exp(log c) overflows at slope {slope!r}"
+        )
 
     residual = dy - np.longdouble(slope) * dx
     ss_res = float((residual * residual).sum())
@@ -72,31 +62,7 @@ def fit_power_law(points: Iterable[Sequence[float]]) -> PowerLawFit:
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     r_squared = min(max(r_squared, 0.0), 1.0)
 
-    return PowerLawFit(
-        coefficient=coefficient,
-        exponent=slope,
-        r_squared=r_squared,
-        x_min=float(x.min()),
-        x_max=float(x.max()),
-        n_points=int(n),
-    )
-
-
-def predict(fit: PowerLawFit, x: float) -> float:
-    """Evaluate the fitted law at ``x``.
-
-    Extrapolating beyond 10x the largest fitted x emits
-    :class:`ExtrapolationWarning`; the value is still returned.
-    """
-    if not (x > 0 and math.isfinite(x)):
-        raise DomainError(f"x must be positive, got {x}")
-    if x > 10.0 * fit.x_max:
-        warnings.warn(
-            f"x={x} exceeds the fitted range (max {fit.x_max}) by more than 10x",
-            ExtrapolationWarning,
-            stacklevel=2,
-        )
-    return fit.coefficient * x**fit.exponent
+    return PowerLawFit(coefficient=coefficient, exponent=slope, r_squared=r_squared)
 
 
 def slope_gap(fit_a: PowerLawFit, fit_b: PowerLawFit) -> float:

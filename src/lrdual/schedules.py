@@ -155,19 +155,6 @@ class ScheduleSpec:
             raise ValidationError(f"kind_params.{name} must be a number, got {value!r}")
         return float(value)
 
-    def _multipliers(self) -> np.ndarray:
-        value = self._param("multipliers")
-        try:
-            mult = np.asarray(value)
-            numeric = mult.dtype.kind in "iuf"
-        except ValueError:  # ragged nesting
-            numeric = False
-        if not numeric:
-            raise ValidationError(
-                f"kind_params.multipliers must be numbers, got {reprlib.repr(value)}"
-            )
-        return mult.astype(np.float64)
-
     def _validate_kind_params(self) -> None:
         kind = self.kind
         known = _KIND_PARAMS.get(kind, ())
@@ -212,7 +199,19 @@ class ScheduleSpec:
                     f"recurrence, got {wd}"
                 )
         elif kind is ScheduleKind.PIECEWISE:
-            mult = self._multipliers()
+            value = self._param("multipliers")
+            try:
+                mult = np.asarray(value)
+                numeric = mult.dtype.kind in "iuf"
+            except ValueError:  # ragged nesting
+                numeric = False
+            if not numeric:
+                raise ValidationError(
+                    f"kind_params.multipliers must be numbers, got {reprlib.repr(value)}"
+                )
+            # A private read-only copy: every curve slices it, none converts again.
+            mult = mult.astype(np.float64)
+            mult.flags.writeable = False
             expected = self.total_steps - self.effective_warmup
             if mult.ndim != 1 or len(mult) != expected:
                 raise ValidationError(
@@ -221,6 +220,7 @@ class ScheduleSpec:
                 )
             if expected and (not np.all(np.isfinite(mult)) or mult.min() < 0 or mult.max() > 1):
                 raise ValidationError("kind_params.multipliers must lie in [0, 1]")
+            object.__setattr__(self, "_multipliers", mult)
 
     # -- derived quantities --------------------------------------------------------
 
@@ -304,7 +304,7 @@ def _decay_shape(spec: ScheduleSpec, t: np.ndarray, w_eff: float) -> None:
         np.divide(1.0, t, out=t)
     elif kind is ScheduleKind.PIECEWISE:
         first = int(t[0] - w_eff) - 1
-        t[...] = spec._multipliers()[first : first + len(t)]
+        t[...] = spec._multipliers[first : first + len(t)]
     else:  # pragma: no cover
         raise AssertionError(f"unhandled kind {kind}")
 

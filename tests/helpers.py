@@ -122,7 +122,7 @@ def _reference_decay_shape(spec: ScheduleSpec, t: np.ndarray, w_eff: float) -> n
         wd = spec._number("weight_decay")
         return 1.0 / (1.0 + wd * spec.peak_lr * (t - w_eff))
     if kind is ScheduleKind.PIECEWISE:
-        mult = spec._multipliers()
+        mult = np.asarray(spec.kind_params["multipliers"], dtype=np.float64)
         return mult[(t - w_eff - 1.0).astype(np.intp)]
     raise AssertionError(f"unhandled kind {kind}")
 

@@ -344,6 +344,17 @@ class TestSimulate:
         assert lines[0].startswith("lrdual: domain error: the reconstructed parameters")
         assert not out.exists()
 
+    def test_infinite_final_distance_is_one_domain_line(self, tmp_path, capsys):
+        # summary.json used to hold "final_dist_sq": inf, which is not JSON
+        out = tmp_path / "out"
+        code = run(out, "simulate", "--steps", "2", "--d0", "1.7976931348623157e308",
+                   "--dim", "3", "--wd", "0", "--peak-base", "1e-300")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "lrdual: domain error: final_dist_sq is inf; JSON cannot hold it\n"
+        )
+        assert not out.exists()
+
 
 class TestSweep:
     CONFIG = {
@@ -519,6 +530,17 @@ class TestFit:
 
     def test_missing_file_exits_4(self, tmp_path):
         assert run(tmp_path, "fit", "--in", str(tmp_path / "nope.csv")) == 4
+
+    def test_overflowing_coefficient_is_one_domain_line(self, tmp_path, capsys):
+        # fit.json used to hold "c": inf, and two RuntimeWarnings leaked
+        points = tmp_path / "points.csv"
+        points.write_text("x,y\n1e-100,1e-300\n2e-100,1e300\n")
+        out = tmp_path / "out"
+        assert run(out, "fit", "--in", str(points), "--svg") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("lrdual: domain error: fitted coefficient is inf")
+        assert not out.exists()
 
 
 class TestDriver:

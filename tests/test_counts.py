@@ -11,7 +11,6 @@ from lrdual.oracle import (
     SweepGrid,
     SweepSchedule,
     order_fit_probe,
-    sgd_gap_bound,
     sgd_monte_carlo_gap,
 )
 
@@ -35,7 +34,6 @@ COUNTS = {
     "lr_at.t": (lambda n: lr_at(linear(), n), 3),
     "QuadraticProblem.dim": (lambda n: QuadraticProblem(dim=n), 3),
     "QuadraticProblem.batch_size": (lambda n: QuadraticProblem(dim=2, batch_size=n), 2),
-    "sgd_gap_bound.t": (lambda n: sgd_gap_bound(0.1, 1.0, 1.0, 1.0, n), 5),
     "sgd_monte_carlo_gap.trials": (
         lambda n: sgd_monte_carlo_gap(np.full(5, 0.1), 1.0, 1.0, 1.0, trials=n, seed=0), 4),
     "order_fit_probe.num_segments": (

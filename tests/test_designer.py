@@ -11,7 +11,6 @@ from lrdual import (
     SmoothingSequence,
     TargetProfile,
     ValidationError,
-    coefficient_ratio,
     coefficients_at,
     rational_schedule,
     schedule_from_coefficients,
@@ -76,36 +75,6 @@ class TestRationalSchedule:
             rational_schedule(-1.0, 0.1, 10)
         with pytest.raises(ValidationError):
             rational_schedule(1.0, 0.1, 10, warmup_steps=10)
-
-
-class TestCoefficientRatio:
-    def test_equal_alphas(self):
-        assert coefficient_ratio(0.5, 0.5) == pytest.approx(2.0, rel=1e-15)
-
-    def test_rational_pair_is_fixed_point(self):
-        alpha = 0.37
-        assert coefficient_ratio(alpha, alpha / (1 + alpha)) == pytest.approx(1.0, rel=1e-14)
-
-    def test_vanishing_next_alpha(self):
-        assert coefficient_ratio(0.5, 1e-12) == pytest.approx(2e-12, rel=1e-9)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            coefficient_ratio(0.0, 0.5)
-        with pytest.raises(DomainError):
-            coefficient_ratio(0.5, 1.0)
-        with pytest.raises(DomainError):
-            coefficient_ratio(0.5, 0.0)
-
-    def test_telescoping_against_coefficients(self):
-        rng = np.random.default_rng(5)
-        alphas = np.concatenate([[1.0], rng.uniform(0.05, 0.6, 30)])
-        c = coefficients_at(SmoothingSequence(alphas)).c
-        k = 3
-        prod = 1.0
-        for i in range(k, len(alphas)):  # ratio over i = k..t-1 (1-based)
-            prod *= coefficient_ratio(alphas[i - 1], alphas[i])
-        assert prod == pytest.approx(c[-1] / c[k - 1], rel=1e-12)
 
 
 class TestTargetProfile:

@@ -8,11 +8,18 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from lrdual import SmoothingSequence, ValidationError, coefficients_at, iter_coefficient_rows
+from lrdual import (
+    DomainError,
+    SmoothingSequence,
+    ValidationError,
+    coefficients_at,
+    iter_coefficient_rows,
+)
 from lrdual.dual import DualCoefficients
 from lrdual.fileio import (
     RunManifest,
     columns_text,
+    float_json_text,
     fmt17,
     read_multipliers,
     read_points,
@@ -36,6 +43,13 @@ class TestFmt17:
     def test_infinity(self):
         assert fmt17(float("-inf")) == "-inf"
         assert float(fmt17(float("-inf"))) == float("-inf")
+
+
+class TestFloatJson:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_names_its_field(self, value):
+        with pytest.raises(DomainError, match=f"^b is {value!r}; JSON cannot hold it$"):
+            float_json_text({"a": 1.0, "b": value})
 
 
 class TestScheduleCsv:

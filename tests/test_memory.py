@@ -56,3 +56,16 @@ def test_lr_curve_holds_four_doubles_per_step(kind):
         kind_params=params,
     )
     assert traced_peak(lr_curve, spec) <= 4 * 8 * N
+
+
+def test_piecewise_lr_curve_reads_its_multipliers_in_place():
+    # the spec converts its multipliers once; a curve holds only its steps
+    warmup = 1000
+    spec = ScheduleSpec(
+        kind=ScheduleKind.PIECEWISE,
+        total_steps=N,
+        peak_base_lr=1.6e-2,
+        warmup_steps=warmup,
+        kind_params={"multipliers": tuple(np.linspace(1.0, 0.0, N - warmup))},
+    )
+    assert traced_peak(lr_curve, spec) <= 1.5 * 8 * N

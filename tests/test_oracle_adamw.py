@@ -149,7 +149,7 @@ class TestTrain:
         optimum = problem.theta_star()
         expected = train(problem, spec, AdamWConfig())
         called = train(
-            lambda step, theta: problem.curvature_vector * (theta - optimum),
+            lambda step, theta: problem.curvature * (theta - optimum),
             spec,
             AdamWConfig(),
             theta0=problem.theta0(),
@@ -164,7 +164,7 @@ class TestTrain:
 
         def gradient(step, theta):
             seen.append(theta)
-            return problem.curvature_vector * (theta - optimum)
+            return problem.curvature * (theta - optimum)
 
         trace = train(gradient, spec_of(total=30, warmup=3), AdamWConfig(), theta0=problem.theta0())
         assert len(seen) == 30

@@ -1,16 +1,10 @@
-"""Analytic gap recursion, the two-term bound, and Monte Carlo agreement."""
+"""Analytic gap recursion, its stability rule, and Monte Carlo agreement."""
 
 import numpy as np
 import pytest
 
 from lrdual import DomainError, ValidationError
-from lrdual.oracle import (
-    QuadraticProblem,
-    check_sgd_stability,
-    sgd_gap_bound,
-    sgd_monte_carlo_gap,
-    sgd_quadratic_expected_gap,
-)
+from lrdual.oracle import QuadraticProblem, sgd_monte_carlo_gap, sgd_quadratic_expected_gap
 
 
 class TestQuadraticProblem:
@@ -40,30 +34,6 @@ class TestQuadraticProblem:
             QuadraticProblem(dim=10**20)
 
 
-class TestGapBound:
-    def test_pure_bias_two_steps(self):
-        bound = sgd_gap_bound(lr=0.5, mu=1.0, noise_var=0.0, d0=1.0, t=2)
-        assert bound.total == 0.25
-        assert bound.bias == 0.25
-        assert bound.variance == 0.0
-
-    def test_frozen_example(self):
-        bound = sgd_gap_bound(lr=0.1, mu=1.0, noise_var=1.0, d0=1.0, t=10)
-        # 0.9^10 + 0.1, evaluated ahead of time
-        assert bound.total == pytest.approx(0.44867844010000004, rel=1e-14)
-        assert bound.total == pytest.approx(0.44868, abs=5e-6)
-
-    def test_long_horizon_floor_is_lr_times_variance(self):
-        bound = sgd_gap_bound(lr=0.05, mu=1.0, noise_var=2.0, d0=1.0, t=5000)
-        assert bound.total == pytest.approx(0.05 * 2.0, rel=1e-12)
-
-    def test_requires_contraction(self):
-        with pytest.raises(DomainError):
-            sgd_gap_bound(lr=1.0, mu=1.0, noise_var=0.0, d0=1.0, t=2)
-        with pytest.raises(DomainError):
-            sgd_gap_bound(lr=0.0, mu=1.0, noise_var=0.0, d0=1.0, t=2)
-
-
 class TestExpectedGap:
     def test_noiseless_geometric(self):
         gaps = sgd_quadratic_expected_gap(np.full(6, 0.5), mu=1.0, noise_var_eff=0.0, d0=1.0)
@@ -78,7 +48,13 @@ class TestExpectedGap:
     def test_instability_detected(self):
         with pytest.raises(DomainError):
             sgd_quadratic_expected_gap(np.array([0.1, 2.5]), 1.0, 0.0, 1.0)
-        check_sgd_stability(np.array([0.1, 0.5]), 1.0)
+        sgd_quadratic_expected_gap(np.array([0.1, 0.5]), 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [2.0, -0.1, float("nan")])
+    def test_first_step_outside_zero_two_is_named(self, bad):
+        # lr * mu must stay in [0, 2): the boundary, a negative and nan all leave it
+        with pytest.raises(DomainError, match="unstable step size at step 3"):
+            sgd_quadratic_expected_gap(np.array([0.1, 1.9, bad, 3.0]), 1.0, 0.0, 1.0)
 
     def test_bound_dominates_exact_recursion(self):
         # running two-term majorant: contraction product on d0 plus the

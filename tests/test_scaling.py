@@ -1,16 +1,9 @@
-"""Power-law fitting: exact recovery, noise robustness, prediction policy."""
+"""Power-law fitting: exact recovery, noise robustness, slope comparison."""
 
 import numpy as np
 import pytest
 
-from lrdual import (
-    DomainError,
-    ExtrapolationWarning,
-    ValidationError,
-    fit_power_law,
-    predict,
-    slope_gap,
-)
+from lrdual import DomainError, ValidationError, fit_power_law, slope_gap
 
 
 class TestFitPowerLaw:
@@ -82,35 +75,6 @@ class TestFitPowerLaw:
         fit = fit_power_law([(1.0, 5.0), (10.0, 5.0), (100.0, 5.0)])
         assert fit.exponent == pytest.approx(0.0, abs=1e-15)
         assert fit.r_squared == 1.0
-
-
-class TestPredict:
-    def test_known_point(self):
-        fit = fit_power_law([(1.0, 4.0), (4.0, 2.0)])
-        assert predict(fit, 16.0) == pytest.approx(1.0, rel=1e-13)
-
-    def test_intercept_at_one(self):
-        fit = fit_power_law([(1.0, 4.0), (4.0, 2.0)])
-        assert predict(fit, 1.0) == pytest.approx(fit.coefficient, rel=1e-15)
-
-    def test_far_extrapolation_warns_but_returns(self):
-        fit = fit_power_law([(1.0, 4.0), (4.0, 2.0)])
-        with pytest.warns(ExtrapolationWarning):
-            value = predict(fit, 41.0)
-        assert value == pytest.approx(4.0 * 41.0**-0.5, rel=1e-12)
-
-    def test_within_ten_x_no_warning(self):
-        fit = fit_power_law([(1.0, 4.0), (4.0, 2.0)])
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            predict(fit, 40.0)
-
-    def test_domain(self):
-        fit = fit_power_law([(1.0, 4.0), (4.0, 2.0)])
-        with pytest.raises(DomainError):
-            predict(fit, 0.0)
 
 
 class TestSlopeGap:
