@@ -7,10 +7,20 @@ codes: 1 validation, 2 domain/infeasibility, 3 divergence, 4 I/O.
 
 from __future__ import annotations
 
+import os
+import sys
+
+# numpy's OpenBLAS starts a worker thread per extra core when numpy loads.
+# A command's only BLAS calls are two vector norms, so the worker only burns
+# CPU, and its split reductions tie the last digits of
+# ``reconstruction_relative_error`` to the core count. One thread unless the
+# environment says otherwise; once numpy is loaded the setting is moot.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import dataclasses
 import json
-import sys
 from pathlib import Path
 from typing import List, Optional
 
@@ -325,7 +335,10 @@ def _cmd_fit(args):
     fit = fit_power_law(points)
     write_fit_json(_out_dir(args) / "fit.json", fit)
     xs, ys = np.array(sorted(points)).T
-    series = [("data", xs, ys), ("fit", xs, fit.coefficient * xs**fit.exponent)]
+    # a curve that overflows is refused by svg_line_plot, with the series name
+    with np.errstate(over="ignore"):
+        curve = fit.coefficient * xs**fit.exponent
+    series = [("data", xs, ys), ("fit", xs, curve)]
     style = dict(title="power-law fit", x_label="x", y_label="y", log_y=True)
     return ["fit.json"], ("fit.svg", series, style)
 

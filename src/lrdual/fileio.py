@@ -244,7 +244,8 @@ def svg_line_plot(
     """Minimal static line plot: one polyline per series.
 
     With ``log_y`` the y axis is log10; non-positive y values cannot be
-    drawn on it and are dropped from their polyline.
+    drawn on it and are dropped from their polyline. A non-finite x or y
+    raises :class:`DomainError` naming its series.
     """
     if not series:
         raise ValidationError("svg_line_plot needs at least one series")
@@ -253,6 +254,8 @@ def svg_line_plot(
     for name, xs, ys in series:
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise DomainError(f"plot series {name!r} has a non-finite coordinate")
         if log_y:
             keep = ys > 0
             xs, ys = xs[keep], ys[keep]

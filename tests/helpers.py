@@ -1,6 +1,10 @@
-"""Shared test helpers: randomized schedule specs and out-of-place references."""
+"""Shared test helpers: randomized schedule specs, out-of-place references and
+the environment of a child ``python`` process."""
 
 from __future__ import annotations
+
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -8,6 +12,17 @@ from lrdual import ScheduleKind, ScheduleSpec
 from lrdual.schedules import _snap_ceil
 
 ALL_KINDS = list(ScheduleKind)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(**overrides: str) -> dict:
+    """This process's environment for a child ``python`` that imports ``lrdual``
+    from ``src``, with numpy's BLAS thread count unset unless given here."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(overrides)
+    return env
 
 
 def random_spec_and_wd(rng: np.random.Generator, max_steps: int = 5000, alpha_cap: float = 0.9):

@@ -542,6 +542,18 @@ class TestFit:
         assert lines[0].startswith("lrdual: domain error: fitted coefficient is inf")
         assert not out.exists()
 
+    def test_overflowing_fit_curve_is_one_domain_line(self, tmp_path, capsys):
+        # c = 1e-300 and m = 60 fit; the curve overflows at x = 1e10, and
+        # fit.svg used to hold a "nan" point while two RuntimeWarnings leaked
+        points = tmp_path / "points.csv"
+        points.write_text("x,y\n1,1e-300\n1e10,1e300\n")
+        out = tmp_path / "out"
+        assert run(out, "fit", "--in", str(points), "--svg") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["lrdual: domain error: plot series 'fit' has a non-finite coordinate"]
+        assert not (out / "fit.svg").exists()
+        assert not (out / "manifest.json").exists()
+
 
 class TestDriver:
     def test_unknown_flag_exits_1(self, tmp_path, capsys):

@@ -281,6 +281,17 @@ class TestSvg:
         with pytest.raises(ValidationError):
             svg_line_plot([], title="t", x_label="x", y_label="y")
 
+    @pytest.mark.parametrize("log_y", [False, True])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_non_finite_coordinate_names_its_series(self, axis, bad, log_y):
+        # a log axis drops non-positive y values, but never a non-finite one
+        xs, ys = np.arange(1.0, 5.0), np.array([1.0, 0.5, 0.25, 0.125])
+        (xs if axis == "x" else ys)[2] = bad
+        series = [("good", np.arange(1.0, 5.0), np.ones(4)), ("bad", xs, ys)]
+        with pytest.raises(DomainError, match="plot series 'bad' has a non-finite coordinate"):
+            svg_line_plot(series, title="t", x_label="x", y_label="y", log_y=log_y)
+
 
 class TestManifest:
     def test_round_trip_and_stable_bytes(self, tmp_path):
