@@ -1,8 +1,9 @@
 """Command-line surface: batch emitters for CSV tables and static SVG plots.
 
 Every command writes its outputs plus a ``manifest.json`` into ``--out``;
-replaying the manifest's argv reproduces the outputs byte for byte. Exit
-codes: 1 validation, 2 domain/infeasibility, 3 divergence, 4 I/O.
+replaying the manifest's argv under the ``version`` it records reproduces
+the outputs byte for byte. Exit codes: 1 validation, 2 domain/infeasibility,
+3 divergence, 4 I/O.
 """
 
 from __future__ import annotations
@@ -235,14 +236,13 @@ def _cmd_dual(args):
 def _cmd_design(args):
     out = _out_dir(args)
     profile = read_target_profile(Path(args.target))
-    designed = schedule_from_coefficients(profile, args.wd, args.rho)
-    # lr column holds the realized LR alpha/wd so that lr * wd == alpha; the
-    # first row is the initial-weights pseudo-step with alpha = 1.
-    lrs = designed.alphas / args.wd
-    write_schedule_csv(out / "designed_schedule.csv", lrs, designed.alphas)
+    designed = schedule_from_coefficients(profile, args.wd)
+    # the first row is the initial-weights pseudo-step with alpha = 1
+    write_schedule_csv(out / "designed_schedule.csv", designed.lrs, designed.alphas)
     idx = np.arange(1, len(designed.alphas) + 1)
     style = dict(title="designed schedule", x_label="step", y_label="learning rate")
-    return ["designed_schedule.csv"], ("design.svg", [("designed", idx, lrs)], style)
+    series = [("designed", idx, designed.lrs)]
+    return ["designed_schedule.csv"], ("design.svg", series, style)
 
 
 def _cmd_rational(args):
@@ -374,9 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--target", required=True, help="CSV with columns i,c")
     p.add_argument("--wd", type=float, default=0.1, help="optimizer weight decay")
-    p.add_argument(
-        "--rho", type=float, default=1.0, help="accepted for manifest replay; changes no output"
-    )
     p.set_defaults(handler=_cmd_design)
 
     p = sub.add_parser("rational", help="emit the uniform-coefficients schedule")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleTargetError, ValidationError
-from .schedules import ScheduleKind, ScheduleSpec, lr_curve, mup_scale
+from .schedules import ScheduleKind, ScheduleSpec, lr_curve
 
 __all__ = [
     "TargetProfile",
@@ -63,12 +63,12 @@ class DesignedSchedule:
     """Result of inverting a target profile.
 
     ``alphas`` is the full smoothing sequence (index 1 is the initial-weights
-    pseudo-input, always 1). ``base_lrs`` holds the pre-scaling learning
-    rates of the len(alphas) - 1 real optimizer steps.
+    pseudo-input, always 1). ``lrs`` is ``alphas / weight_decay``, the ``lr``
+    column of ``designed_schedule.csv``, pseudo-step first.
     """
 
     alphas: np.ndarray
-    base_lrs: np.ndarray
+    lrs: np.ndarray
 
 
 def rational_schedule(
@@ -111,11 +111,7 @@ def rational_schedule(
     )
 
 
-def schedule_from_coefficients(
-    target: TargetProfile,
-    weight_decay: float,
-    mup_factor: float = 1.0,
-) -> DesignedSchedule:
+def schedule_from_coefficients(target: TargetProfile, weight_decay: float) -> DesignedSchedule:
     """Recover the smoothing schedule that realizes ``target``.
 
     Backward substitution in closed form: each alpha divides its coefficient
@@ -133,8 +129,9 @@ def schedule_from_coefficients(
     """
     if not (weight_decay > 0 and math.isfinite(weight_decay)):
         raise DomainError(f"weight_decay must be positive, got {weight_decay}")
-    # base LR = alpha / (rho * wd)
-    lr_scale = mup_scale(weight_decay, mup_factor)
+    # no alpha exceeds the pseudo-step's 1, so its LR 1 / weight_decay is the largest
+    if not math.isfinite(1.0 / weight_decay):
+        raise DomainError(f"learning rate 1 / weight_decay overflows at {weight_decay}")
     c = target.weights
     prefix = np.cumsum(c.astype(np.longdouble))
     ratio = np.zeros(len(c), dtype=np.longdouble)
@@ -173,4 +170,4 @@ def schedule_from_coefficients(
             f"not consistent with initial weights as the first input",
         )
     alphas[0] = 1.0
-    return DesignedSchedule(alphas=alphas, base_lrs=alphas[1:] / lr_scale)
+    return DesignedSchedule(alphas=alphas, lrs=alphas / weight_decay)

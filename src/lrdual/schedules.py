@@ -299,7 +299,11 @@ def _decay_shape(spec: ScheduleSpec, t: np.ndarray, w_eff: float) -> None:
         # Harmonic closed form of the recurrence lr' = lr / (1 + lr * wd),
         # seeded at the realized peak when warmup ends.
         t -= w_eff
-        t *= spec._number("weight_decay") * spec.peak_lr
+        # Past the float range the shape rounds to 1 / (1 + inf) = 0. Only a
+        # peak alpha = peak_lr * weight_decay far above 1 gets there, and every
+        # command refuses such a schedule at its first step.
+        with np.errstate(over="ignore"):
+            t *= spec._number("weight_decay") * spec.peak_lr
         t += 1.0
         np.divide(1.0, t, out=t)
     elif kind is ScheduleKind.PIECEWISE:

@@ -169,9 +169,7 @@ def test_05_inverse_design_round_trip():
         # uniform profiles invert to the harmonic sequence of the rational
         # schedule at unit weight decay
         for n in (3, 10, 50, 200):
-            out = schedule_from_coefficients(
-                TargetProfile(np.full(n, 1.0 / n)), weight_decay=1.0, mup_factor=1.0
-            )
+            out = schedule_from_coefficients(TargetProfile(np.full(n, 1.0 / n)), 1.0)
             harmonic = rational_schedule(1.0, 1.0, n, warmup_steps=0)
             np.testing.assert_allclose(out.alphas, harmonic, rtol=1e-12)
             assert out.alphas[0] == 1.0 and out.alphas[1] == pytest.approx(0.5, rel=1e-13)

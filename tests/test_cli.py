@@ -206,8 +206,7 @@ class TestDesign:
         profile = tmp_path / "profile.csv"
         profile.write_text("i,c\n1,0.3333333333333333\n2,0.3333333333333333\n"
                            "3,0.3333333333333333\n")
-        code = run(tmp_path, "design", "--target", str(profile), "--wd", "0.1",
-                   "--rho", "1")
+        code = run(tmp_path, "design", "--target", str(profile), "--wd", "0.1")
         assert code == 0
         _, rows = read_rows(tmp_path / "designed_schedule.csv")
         alphas = [float(r[2]) for r in rows]
@@ -215,18 +214,25 @@ class TestDesign:
         lrs = [float(r[1]) for r in rows]
         assert lrs[1] == pytest.approx(5.0, rel=1e-12)
 
-    def test_rho_changes_no_output(self, tmp_path):
-        # --rho only scales the designer's base LRs, which no output holds
+    def test_rho_flag_exits_1(self, tmp_path, capsys):
+        # the width ratio never entered the design; 0.2.0 removed the flag
         profile = tmp_path / "profile.csv"
         profile.write_text("i,c\n1,0.25\n2,0.25\n3,0.5\n")
-        outputs = []
-        for rho in ("0.5", "1"):
-            out = tmp_path / rho
-            assert main(["design", "--target", str(profile), "--rho", rho, "--svg",
-                         "--out", str(out)]) == 0
-            outputs.append([(out / name).read_bytes()
-                            for name in ("designed_schedule.csv", "design.svg")])
-        assert outputs[0] == outputs[1]
+        assert run(tmp_path, "design", "--target", str(profile), "--rho", "0.5") == 1
+        assert "unrecognized arguments: --rho" in capsys.readouterr().err
+        assert not (tmp_path / "designed_schedule.csv").exists()
+
+    @pytest.mark.parametrize("svg", [[], ["--svg"]], ids=["csv", "svg"])
+    def test_overflowing_learning_rate_is_one_domain_line(self, tmp_path, capsys, svg):
+        # lr = alpha / wd: 1 / 1e-310 is past the float range
+        profile = tmp_path / "profile.csv"
+        profile.write_text("i,c\n1,0.5\n2,0.5\n")
+        out = tmp_path / "out"
+        assert run(out, "design", "--target", str(profile), "--wd", "1e-310", *svg) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("lrdual: domain error:")
+        assert not (out / "designed_schedule.csv").exists()
 
     def test_unnormalized_profile_exits_1(self, tmp_path, capsys):
         profile = tmp_path / "profile.csv"
@@ -602,6 +608,15 @@ class TestDriver:
         assert len(lines) == 1
         assert lines[0].startswith("lrdual: domain error:")
 
+    @pytest.mark.parametrize("command", ["schedule", "dual", "simulate"])
+    def test_overflowing_rational_decay_is_one_domain_line(self, tmp_path, capsys, command):
+        # wd * peak * (t - W) overflows; the alpha > 1 rule refuses the schedule
+        argv = [command, "--kind", "rational", "--steps", "20", "--peak-base", "1e308"]
+        assert run(tmp_path, *argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("lrdual: domain error:")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -656,8 +671,8 @@ def test_manifest_config_records_every_flag_but_out_seed_svg(tmp_path, command):
             {**SCHEDULE_CONFIG, "at_step": 5, "matrix": False},
         ),
         "design": (
-            ["--target", str(profile), "--rho", "0.5"],
-            {"target": str(profile), "wd": 0.1, "rho": 0.5},
+            ["--target", str(profile), "--wd", "0.5"],
+            {"target": str(profile), "wd": 0.5},
         ),
         "rational": (
             ["--peak", "1", "--steps", "5"],

@@ -91,12 +91,10 @@ class TestScheduleFromCoefficients:
     def test_worked_example(self):
         out = schedule_from_coefficients(TargetProfile(np.array([0.25, 0.25, 0.5])), 0.1)
         np.testing.assert_allclose(out.alphas, [1.0, 0.5, 0.5], rtol=1e-14)
-        np.testing.assert_allclose(out.base_lrs, [5.0, 5.0], rtol=1e-14)
+        np.testing.assert_allclose(out.lrs, [10.0, 5.0, 5.0], rtol=1e-14)
 
     def test_uniform_profile_recovers_harmonic(self):
-        out = schedule_from_coefficients(
-            TargetProfile(np.full(3, 1.0 / 3.0)), weight_decay=1.0, mup_factor=1.0
-        )
+        out = schedule_from_coefficients(TargetProfile(np.full(3, 1.0 / 3.0)), 1.0)
         np.testing.assert_allclose(out.alphas, [1.0, 0.5, 1.0 / 3.0], rtol=1e-14)
         rational = rational_schedule(1.0, 1.0, 3, warmup_steps=0)
         np.testing.assert_allclose(out.alphas, rational, rtol=1e-12)
@@ -104,7 +102,7 @@ class TestScheduleFromCoefficients:
     def test_trivial_profile(self):
         out = schedule_from_coefficients(TargetProfile(np.array([1.0])), 0.1)
         assert out.alphas.tolist() == [1.0]
-        assert out.base_lrs.size == 0
+        assert out.lrs.tolist() == [10.0]
 
     def test_trailing_zero_coefficients(self):
         out = schedule_from_coefficients(
@@ -183,3 +181,15 @@ class TestScheduleFromCoefficients:
     def test_weight_decay_required_positive(self):
         with pytest.raises(DomainError):
             schedule_from_coefficients(TargetProfile(np.array([1.0])), 0.0)
+
+    def test_lrs_are_alphas_over_weight_decay(self):
+        target = TargetProfile(np.array([0.1, 0.2, 0.3, 0.4]))
+        for wd in (0.1, 0.3, 2.2250738585072014e-308, 1e300):
+            out = schedule_from_coefficients(target, wd)
+            assert out.lrs.tobytes() == (out.alphas / wd).tobytes()
+
+    @pytest.mark.parametrize("wd", [1e-310, 5e-324, 5.5e-309])
+    def test_overflowing_learning_rate_refused(self, wd):
+        # 1 / wd, the pseudo-step's learning rate, is past the float range
+        with pytest.raises(DomainError, match="overflows"):
+            schedule_from_coefficients(TargetProfile(np.array([0.5, 0.5])), wd)

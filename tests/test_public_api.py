@@ -6,6 +6,7 @@ against each name's home module.
 """
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +44,11 @@ def test_dir_lists_every_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         lrdual.no_such_name
+
+
+def test_version_matches_pyproject():
+    # a manifest replays byte for byte under the version it records, so the
+    # package and its metadata must name the same one
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert lrdual.__version__ == tomllib.load(fh)["project"]["version"]

@@ -183,6 +183,19 @@ class TestLrCurve:
         curve = lr_curve(spec)
         assert curve == pytest.approx([1.0, 0.5, 1.0 / 3.0, 0.25], rel=1e-15)
 
+    def test_rational_overflow_rounds_to_zero_silently(self):
+        # wd * peak * (t - W) passes the float range from t = 20 on
+        spec = ScheduleSpec(
+            kind=ScheduleKind.RATIONAL,
+            total_steps=24,
+            peak_base_lr=1e308,
+            warmup_steps=2,
+            kind_params={"weight_decay": 0.1},
+        )
+        curve = lr_curve(spec)
+        assert np.all(np.isfinite(curve)) and np.all(np.diff(curve[1:]) <= 0.0)
+        assert curve[18] > 0.0 and curve[19:].tolist() == [0.0] * 5
+
     def test_piecewise_post_warmup_values(self):
         spec = ScheduleSpec(
             kind=ScheduleKind.PIECEWISE,
