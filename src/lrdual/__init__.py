@@ -16,39 +16,7 @@ import importlib
 
 __version__ = "0.2.0"
 
-__all__ = [
-    "__version__",
-    "ScheduleKind",
-    "ScheduleSpec",
-    "lr_at",
-    "lr_curve",
-    "mup_scale",
-    "alpha_curve",
-    "average_alpha",
-    "SmoothingSequence",
-    "DualCoefficients",
-    "coefficients_at",
-    "iter_coefficient_rows",
-    "init_coefficient",
-    "init_coefficient_approx",
-    "timescale",
-    "TargetProfile",
-    "DesignedSchedule",
-    "rational_schedule",
-    "schedule_from_coefficients",
-    "PowerLawFit",
-    "fit_power_law",
-    "slope_gap",
-    "LRDualError",
-    "ValidationError",
-    "DomainError",
-    "InfiniteTimescaleError",
-    "InfeasibleTargetError",
-    "DivergenceError",
-    "NonFiniteGradientError",
-]
-
-# The public names each submodule defines, and the reverse lookup.
+# The public names each submodule defines, the reverse lookup and ``__all__``.
 _EXPORTS = {
     "designer": (
         "DesignedSchedule", "TargetProfile", "rational_schedule", "schedule_from_coefficients",
@@ -68,6 +36,7 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = ["__version__", *_HOME]
 
 _SUBMODULES = ("cli", "designer", "dual", "errors", "fileio", "oracle", "scaling", "schedules")
 

@@ -32,7 +32,6 @@ from .designer import rational_schedule, schedule_from_coefficients
 from .dual import SmoothingSequence, coefficients_at, iter_coefficient_rows
 from .errors import DivergenceError, DomainError, LRDualError, ValidationError, check_count
 from .fileio import (
-    RunManifest,
     columns_text,
     float_json_text,
     json_text,
@@ -180,14 +179,15 @@ def _write_manifest(args, argv, outputs: List[str]) -> None:
     config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     if "in_path" in config:
         config["in"] = config.pop("in_path")
-    RunManifest(
-        command=args.command,
-        argv=list(argv),
-        config=config,
-        version=__version__,
-        base_seed=args.seed,
-        outputs=outputs,
-    ).write(_out_dir(args))
+    document = {
+        "command": args.command,
+        "argv": argv,
+        "config": config,
+        "version": __version__,
+        "base_seed": args.seed,
+        "outputs": outputs,
+    }
+    write_text_file(_out_dir(args) / "manifest.json", json_text(document))
 
 
 # -- commands ---------------------------------------------------------------------
@@ -267,12 +267,10 @@ def _cmd_simulate(args):
         weight_decay=args.wd, beta1=args.beta1, beta2=args.beta2, epsilon=args.eps
     )
     lrs = lr_curve(spec)
-    alphas = lrs * args.wd
-    # The coefficients depend only on the schedule: computing them first
-    # refuses peak * wd > 1 before anything is trained or written.
-    coeffs = None
-    if args.wd > 0:
-        coeffs = coefficients_at(SmoothingSequence(np.concatenate([[1.0], alphas])))
+    # The coefficients depend only on the schedule: building the sequence
+    # first refuses peak * wd > 1 before anything is trained or written.
+    seq = SmoothingSequence.from_schedule(spec, args.wd)
+    coeffs = coefficients_at(seq) if args.wd > 0 else None
     optimum = problem.theta_star()
     dist_sq = np.empty(spec.total_steps)
     diff = np.empty(args.dim)
@@ -303,7 +301,7 @@ def _cmd_simulate(args):
     )
     out = _out_dir(args)
     write_text_file(
-        out / "trace.csv", columns_text("step,lr,alpha,dist_sq", lrs, alphas, dist_sq)
+        out / "trace.csv", columns_text("step,lr,alpha,dist_sq", lrs, seq.alphas[1:], dist_sq)
     )
     write_text_file(out / "summary.json", summary)
     series = [("squared distance", np.arange(1, spec.total_steps + 1), dist_sq)]

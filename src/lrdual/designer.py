@@ -163,11 +163,5 @@ def schedule_from_coefficients(target: TargetProfile, weight_decay: float) -> De
             )
         alphas[1:k] = 0.0
         alphas[k] = 1.0
-    elif prefix[0] > 0.0 and abs(alphas[0] - 1.0) > _FEASIBILITY_SLACK:
-        raise InfeasibleTargetError(  # pragma: no cover - defensive
-            1,
-            f"index 1 resolves to alpha={float(alphas[0])}, not 1; the profile is "
-            f"not consistent with initial weights as the first input",
-        )
     alphas[0] = 1.0
     return DesignedSchedule(alphas=alphas, lrs=alphas / weight_decay)

@@ -1,4 +1,4 @@
-"""CSV, JSON and SVG emitters plus the run manifest.
+"""CSV, JSON and SVG emitters and the CSV readers.
 
 Floats are printed with 17 significant digits so every CSV round-trips to
 the exact double that produced it, and all writers are deterministic: the
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from itertools import count
 from pathlib import Path
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -37,11 +36,7 @@ __all__ = [
     "read_points",
     "read_multipliers",
     "svg_line_plot",
-    "RunManifest",
-    "MANIFEST_NAME",
 ]
-
-MANIFEST_NAME = "manifest.json"
 
 
 def fmt17(x: float) -> str:
@@ -94,8 +89,13 @@ def float_json_text(fields: Mapping[str, Optional[float]]) -> str:
 
 
 def json_text(document: object) -> str:
-    """JSON with two-space indent and sorted keys, ending in a newline."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """JSON with two-space indent and sorted keys, ending in a newline.
+
+    JSON has no inf or nan, so each non-finite float anywhere in the
+    document is written as its repr string, such as ``"nan"``.
+    """
+    plain = json.loads(json.dumps(document), parse_constant=lambda name: repr(float(name)))
+    return json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 
 def write_schedule_csv(path: Path, lrs: np.ndarray, alphas: np.ndarray) -> None:
@@ -114,13 +114,15 @@ def write_coefficient_matrix_csv(path: Path, log_rows) -> None:
     ``log_rows`` is an iterable of log-coefficient rows, row ``t`` covering
     inputs ``1..t``, such as :func:`lrdual.dual.iter_coefficient_rows`.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# rows with log_c < {int(LOG_FLUSH_THRESHOLD)} omitted\n")
-        fh.write("t,i,log_c\n")
+
+    def chunks():
+        yield f"# rows with log_c < {int(LOG_FLUSH_THRESHOLD)} omitted\nt,i,log_c\n"
         for t, row in enumerate(log_rows, start=1):
             kept = np.flatnonzero(row >= LOG_FLUSH_THRESHOLD)
             line = f"{t},{{}},{{:.17g}}\n".format
-            fh.write("".join(map(line, (kept + 1).tolist(), row[kept].tolist())))
+            yield "".join(map(line, (kept + 1).tolist(), row[kept].tolist()))
+
+    write_text_file(path, chunks())
 
 
 _SWEEP_COLUMNS = (
@@ -311,65 +313,3 @@ def svg_line_plot(
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-# -- run manifest ---------------------------------------------------------------
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every command's outputs.
-
-    Replaying ``argv`` reproduces the listed outputs byte for byte; nothing
-    time- or host-dependent is stored.
-    """
-
-    command: str
-    argv: List[str]
-    config: Mapping[str, object]
-    version: str
-    base_seed: Optional[int] = None
-    outputs: List[str] = field(default_factory=list)
-
-    def write(self, out_dir: Path) -> Path:
-        path = Path(out_dir) / MANIFEST_NAME
-        payload = {
-            "command": self.command,
-            "argv": list(self.argv),
-            "config": _jsonable(self.config),
-            "version": self.version,
-            "base_seed": self.base_seed,
-            "outputs": list(self.outputs),
-        }
-        write_text_file(path, json_text(payload))
-        return path
-
-    @classmethod
-    def load(cls, path: Path) -> "RunManifest":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        try:
-            return cls(
-                command=data["command"],
-                argv=list(data["argv"]),
-                config=data["config"],
-                version=data["version"],
-                base_seed=data["base_seed"],
-                outputs=list(data["outputs"]),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"{path}: manifest missing field {exc}") from exc
-
-
-def _jsonable(value):
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
-    return value

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from lrdual.cli import main
-from lrdual.fileio import RunManifest
 
 
 def run(tmp_path, *argv):
@@ -317,12 +316,12 @@ class TestSimulate:
         [
             # used to write trace.csv, then exit 2 without a manifest
             (["--steps", "200", "--dim", "3", "--sigma2", "0.5", "--peak-base", "20"],
-             "alpha_12=1.1 outside [0, 1]"),
+             "smoothing alpha=1.1 > 1 at step 11; lower the learning rate or weight decay"),
             # used to train until the iterate diverged and exit 3 at step 422
-            (["--steps", "2000", "--peak-base", "100"], "alpha_22=1.05 outside [0, 1]"),
+            (["--steps", "2000", "--peak-base", "100"], "smoothing alpha=1.05 > 1 at step 21; lower the learning rate or weight decay"),
             # used to exit 3 at the first steps
             (["--kind", "constant", "--steps", "3000", "--warmup", "0",
-              "--peak-base", "50.0", "--wd", "0.1"], "alpha_2=5.0 outside [0, 1]"),
+              "--peak-base", "50.0", "--wd", "0.1"], "smoothing alpha=5.0 > 1 at step 1; lower the learning rate or weight decay"),
         ],
     )
     def test_peak_alpha_above_one_exits_2_before_writing(self, tmp_path, capsys, argv, message):
@@ -573,11 +572,21 @@ class TestDriver:
         argv = ["schedule", "--kind", "linear", "--steps", "12", "--warmup", "2",
                 "--out", str(tmp_path)]
         assert main(argv) == 0
-        manifest = RunManifest.load(tmp_path / "manifest.json")
-        assert manifest.command == "schedule"
-        assert manifest.argv == argv
-        assert manifest.outputs == ["schedule.csv"]
-        assert manifest.version
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert sorted(manifest) == [
+            "argv", "base_seed", "command", "config", "outputs", "version",
+        ]
+        assert manifest["command"] == "schedule"
+        assert manifest["argv"] == argv
+        assert manifest["outputs"] == ["schedule.csv"]
+        assert manifest["version"]
+
+    def test_manifest_records_non_finite_flag_as_its_repr(self, tmp_path):
+        # linear ignores --milestone-frac; JSON has no nan, so the manifest holds "nan"
+        argv = ["schedule", "--kind", "linear", "--steps", "10", "--milestone-frac", "nan"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["milestone_frac"] == "nan"
 
     def test_rerun_from_manifest_reproduces_bytes(self, tmp_path):
         out = tmp_path / "a"
@@ -586,7 +595,7 @@ class TestDriver:
         assert main(argv) == 0
         first = (out / "coefficients.csv").read_bytes()
         manifest_bytes = (out / "manifest.json").read_bytes()
-        replay = RunManifest.load(out / "manifest.json").argv
+        replay = json.loads((out / "manifest.json").read_text())["argv"]
         assert main(replay) == 0
         assert (out / "coefficients.csv").read_bytes() == first
         assert (out / "manifest.json").read_bytes() == manifest_bytes
@@ -700,10 +709,10 @@ def test_manifest_config_records_every_flag_but_out_seed_svg(tmp_path, command):
     }[command]
     out = tmp_path / "out"
     assert main([command, *argv, "--seed", "4", "--svg", "--out", str(out)]) == 0
-    manifest = RunManifest.load(out / "manifest.json")
-    assert manifest.command == command
-    assert manifest.base_seed == 4
-    assert manifest.config == config
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["base_seed"] == 4
+    assert manifest["config"] == config
 
 
 OUTPUT_CASES = {
@@ -747,7 +756,7 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, case):
     argv, outputs = OUTPUT_CASES[case]
     out = tmp_path / "out"
     assert main([arg.format(**inputs) for arg in argv] + ["--out", str(out)]) == 0
-    assert RunManifest.load(out / "manifest.json").outputs == outputs
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == outputs
     assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
     if case == "simulate-wd0":
         summary = (out / "summary.json").read_text()

@@ -1,13 +1,15 @@
-"""Serialization: 17-digit round trips, CSV/SVG structure, manifests."""
+"""Serialization: 17-digit round trips, CSV/JSON/SVG structure, one file writer."""
 
-import json
+import ast
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lrdual
 from lrdual import (
     DomainError,
     SmoothingSequence,
@@ -17,10 +19,10 @@ from lrdual import (
 )
 from lrdual.dual import DualCoefficients
 from lrdual.fileio import (
-    RunManifest,
     columns_text,
     float_json_text,
     fmt17,
+    json_text,
     read_multipliers,
     read_points,
     read_target_profile,
@@ -50,6 +52,48 @@ class TestFloatJson:
     def test_non_finite_value_names_its_field(self, value):
         with pytest.raises(DomainError, match=f"^b is {value!r}; JSON cannot hold it$"):
             float_json_text({"a": 1.0, "b": value})
+
+
+class TestJsonText:
+    def test_non_finite_float_anywhere_is_its_repr(self):
+        document = {"b": (1.5, float("nan"), {"d": -np.inf}), "a": np.inf, "c": None}
+        assert json_text(document) == (
+            '{\n  "a": "inf",\n  "b": [\n    1.5,\n    "nan",\n    {\n'
+            '      "d": "-inf"\n    }\n  ],\n  "c": null\n}\n'
+        )
+
+
+def _opens_for_writing(call):
+    """Whether ``call`` is an ``open`` whose mode is not a constant read-only one."""
+    if getattr(call.func, "id", getattr(call.func, "attr", None)) != "open":
+        return False
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+"))
+
+
+def _writing_functions(node, function=None):
+    """The innermost enclosing function of each ``open`` for writing under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _writing_functions(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and _opens_for_writing(child):
+            yield function
+        yield from _writing_functions(child, function)
+
+
+def test_write_text_file_is_the_one_file_writer():
+    # one function fixes the encoding and newlines of every file lrdual writes
+    src = Path(lrdual.__file__).parent
+    writers = {
+        (str(path.relative_to(src)), function)
+        for path in sorted(src.rglob("*.py"))
+        for function in _writing_functions(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert writers == {("fileio.py", "write_text_file")}
 
 
 class TestScheduleCsv:
@@ -291,32 +335,3 @@ class TestSvg:
         series = [("good", np.arange(1.0, 5.0), np.ones(4)), ("bad", xs, ys)]
         with pytest.raises(DomainError, match="plot series 'bad' has a non-finite coordinate"):
             svg_line_plot(series, title="t", x_label="x", y_label="y", log_y=log_y)
-
-
-class TestManifest:
-    def test_round_trip_and_stable_bytes(self, tmp_path):
-        manifest = RunManifest(
-            command="schedule",
-            argv=["schedule", "--steps", "10"],
-            config={"steps": 10, "kind": "linear"},
-            version="0.1.0",
-            base_seed=3,
-            outputs=["schedule.csv"],
-        )
-        p1 = manifest.write(tmp_path)
-        first = p1.read_bytes()
-        p2 = manifest.write(tmp_path)
-        assert p2.read_bytes() == first
-        loaded = RunManifest.load(p1)
-        assert loaded.command == "schedule"
-        assert loaded.argv == ["schedule", "--steps", "10"]
-        assert loaded.outputs == ["schedule.csv"]
-        payload = json.loads(first)
-        assert sorted(payload) == [
-            "argv",
-            "base_seed",
-            "command",
-            "config",
-            "outputs",
-            "version",
-        ]
