@@ -201,7 +201,7 @@ def _cmd_schedule(args):
     spec = _spec_from_args(args)
     out = _out_dir(args)
     lrs = lr_curve(spec)
-    write_schedule_csv(out / "schedule.csv", lrs, alpha_curve(spec, args.wd))
+    write_schedule_csv(out / "schedule.csv", lrs, alpha_curve(lrs, args.wd))
     steps = np.arange(1, spec.total_steps + 1)
     style = dict(title="learning rate schedule", x_label="step", y_label="learning rate")
     return ["schedule.csv"], ("schedule.svg", [(spec.kind.value, steps, lrs)], style)
@@ -210,7 +210,7 @@ def _cmd_schedule(args):
 def _cmd_dual(args):
     spec = _spec_from_args(args)
     out = _out_dir(args)
-    seq = SmoothingSequence.from_schedule(spec, args.wd)
+    seq = SmoothingSequence.from_lrs(lr_curve(spec), args.wd)
     if args.matrix:
         write_coefficient_matrix_csv(
             out / "coefficient_matrix.csv", iter_coefficient_rows(seq)
@@ -269,14 +269,14 @@ def _cmd_simulate(args):
     lrs = lr_curve(spec)
     # The coefficients depend only on the schedule: building the sequence
     # first refuses peak * wd > 1 before anything is trained or written.
-    seq = SmoothingSequence.from_schedule(spec, args.wd)
+    seq = SmoothingSequence.from_lrs(lrs, args.wd)
     coeffs = coefficients_at(seq) if args.wd > 0 else None
     optimum = problem.theta_star()
     dist_sq = np.empty(spec.total_steps)
     diff = np.empty(args.dim)
 
     def rows():
-        for t, theta, x in stream(problem, spec, config, seed=args.seed):
+        for t, theta, x in stream(problem, lrs, config, seed=args.seed):
             if t:
                 np.subtract(theta, optimum, out=diff)
                 np.square(diff, out=diff)

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InfiniteTimescaleError, ValidationError, check_count
-from .schedules import ScheduleSpec, alpha_curve
+from .schedules import alpha_curve
 
 __all__ = [
     "SmoothingSequence",
@@ -73,9 +73,9 @@ class SmoothingSequence:
         object.__setattr__(self, "alphas", arr)
 
     @classmethod
-    def from_schedule(cls, spec: ScheduleSpec, weight_decay: float) -> "SmoothingSequence":
-        """Map a T-step schedule to inputs 2..T+1, with the initial weights at index 1."""
-        return cls(np.concatenate([[1.0], alpha_curve(spec, weight_decay)]))
+    def from_lrs(cls, lrs: np.ndarray, weight_decay: float) -> "SmoothingSequence":
+        """Map T learning rates to inputs 2..T+1, with the initial weights at index 1."""
+        return cls(np.concatenate([[1.0], alpha_curve(lrs, weight_decay)]))
 
     def __len__(self) -> int:
         return len(self.alphas)

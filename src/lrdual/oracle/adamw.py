@@ -40,7 +40,7 @@ from ..errors import (
     NonFiniteGradientError,
     ValidationError,
 )
-from ..schedules import ScheduleSpec, lr_curve
+from ..schedules import _lr_array
 from .quadratic import QuadraticProblem
 from .rng import normal_field
 
@@ -101,9 +101,7 @@ class AdamWTrace:
             raise DomainError(
                 "the moving-average view needs weight_decay > 0; this trace has 0"
             )
-        return SmoothingSequence(
-            np.concatenate([[1.0], self.lrs * self.weight_decay])
-        )
+        return SmoothingSequence.from_lrs(self.lrs, self.weight_decay)
 
 
 Problem = Union[QuadraticProblem, Callable[[int, np.ndarray], np.ndarray]]
@@ -128,6 +126,7 @@ def _steps(
     zero. ``rows = T + 1`` records the whole run, ``rows = 2`` only the last
     two steps. The gradient is handed the row ``thetas[(t - 1) % rows]``.
     """
+    lrs = _lr_array(lrs)
     steps = len(lrs)
     if isinstance(problem, QuadraticProblem):
         start = problem.theta0() if theta0 is None else theta0
@@ -227,7 +226,7 @@ def _steps(
 
 def stream(
     problem: Problem,
-    spec: ScheduleSpec,
+    lrs: np.ndarray,
     config: AdamWConfig,
     seed: int = 0,
     theta0: Optional[np.ndarray] = None,
@@ -241,18 +240,18 @@ def stream(
     are overwritten two steps later; copy what must outlive that. Memory is
     O(dim) whatever T is.
     """
-    for t, thetas, updates in _steps(problem, lr_curve(spec), config, seed, theta0, 2):
+    for t, thetas, updates in _steps(problem, lrs, config, seed, theta0, 2):
         yield t, thetas[t % 2], None if updates is None else updates[t % 2]
 
 
 def train(
     problem: Problem,
-    spec: ScheduleSpec,
+    lrs: np.ndarray,
     config: AdamWConfig,
     seed: int = 0,
     theta0: Optional[np.ndarray] = None,
 ) -> AdamWTrace:
-    """Run AdamW for ``spec.total_steps`` steps and record the trajectory.
+    """Run AdamW at learning rate ``lrs[t - 1]`` on step t and record the trajectory.
 
     ``problem`` is a :class:`QuadraticProblem` (noisy quadratic gradients,
     deterministic in ``seed``) or a gradient callable ``(step, theta) -> g``
@@ -267,7 +266,7 @@ def train(
     :func:`stream` runs the same loop without recording; this is the
     reference it is tested against, bit for bit.
     """
-    lrs = lr_curve(spec)
+    lrs = _lr_array(lrs)
     for _, thetas, updates in _steps(problem, lrs, config, seed, theta0, len(lrs) + 1):
         pass
     return AdamWTrace(

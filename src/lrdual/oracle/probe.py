@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ..errors import ValidationError, check_count
-from ..schedules import ScheduleSpec
+from ..schedules import _lr_array
 from .adamw import AdamWConfig, stream
 from .rng import derive_seed
 
@@ -24,7 +24,7 @@ __all__ = ["order_fit_probe"]
 
 def order_fit_probe(
     num_segments: int,
-    spec: ScheduleSpec,
+    lrs: np.ndarray,
     config: AdamWConfig,
     seed: int = 0,
     *,
@@ -34,17 +34,18 @@ def order_fit_probe(
 ) -> np.ndarray:
     """Per-segment mean squared loss of the final model on its training batches.
 
-    The stream holds ``spec.total_steps`` batches (one optimizer step each)
-    split evenly into ``num_segments`` segments; ``total_steps`` must be a
+    The stream holds ``len(lrs)`` batches (step t at learning rate ``lrs[t - 1]``)
+    split evenly into ``num_segments`` segments; ``len(lrs)`` must be a
     multiple of ``num_segments``. Labels are a fixed random linear map of the
     inputs plus per-batch Gaussian noise, drawn once and reused for the final
     evaluation, so fitting a segment means fitting its noise.
     """
     check_count("num_segments", num_segments, minimum=4)
-    total = spec.total_steps
+    lrs = _lr_array(lrs)
+    total = len(lrs)
     if total % num_segments != 0:
         raise ValidationError(
-            f"total_steps={total} must be a multiple of num_segments={num_segments}"
+            f"len(lrs)={total} must be a multiple of num_segments={num_segments}"
         )
     check_count("dim", dim)
     check_count("batch_size", batch_size)
@@ -63,7 +64,7 @@ def order_fit_probe(
         residual = x[step - 1] @ theta - y[step - 1]
         return 2.0 * (x[step - 1].T @ residual) / batch_size
 
-    for _, theta, _ in stream(gradient, spec, config, theta0=np.zeros(dim)):
+    for _, theta, _ in stream(gradient, lrs, config, theta0=np.zeros(dim)):
         pass
 
     losses = np.empty(num_segments)

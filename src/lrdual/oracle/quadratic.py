@@ -83,14 +83,14 @@ def _first_unstable_step(lrs: np.ndarray, mu: float) -> Optional[int]:
 
 
 def _check_chain(
-    lr_curve: np.ndarray, mu: float, noise_var_eff: float, d0: float
+    lrs: np.ndarray, mu: float, noise_var_eff: float, d0: float
 ) -> np.ndarray:
     """Validate a 1-D SGD chain's inputs; return the step sizes as float64."""
     if not (mu > 0 and math.isfinite(mu)):
         raise DomainError(f"mu must be positive, got {mu}")
     if not (0 <= noise_var_eff < math.inf and 0 <= d0 < math.inf):
         raise DomainError("noise_var_eff and d0 must be finite and non-negative")
-    lrs = np.asarray(lr_curve, dtype=np.float64)
+    lrs = np.asarray(lrs, dtype=np.float64)
     step = _first_unstable_step(lrs, mu)
     if step is not None:
         raise DomainError(
@@ -101,13 +101,13 @@ def _check_chain(
 
 
 def sgd_quadratic_expected_gap(
-    lr_curve: np.ndarray,
+    lrs: np.ndarray,
     mu: float,
     noise_var_eff: float,
     d0: float,
 ) -> np.ndarray:
     """Exact expected squared distances ``e_1..e_T`` for 1-D SGD."""
-    lrs = _check_chain(lr_curve, mu, noise_var_eff, d0)
+    lrs = _check_chain(lrs, mu, noise_var_eff, d0)
     contractions = (1.0 - lrs * mu) ** 2
     injections = lrs * lrs * noise_var_eff
     gaps = np.empty(len(lrs))
@@ -119,7 +119,7 @@ def sgd_quadratic_expected_gap(
 
 
 def sgd_monte_carlo_gap(
-    lr_curve: np.ndarray,
+    lrs: np.ndarray,
     mu: float,
     noise_var_eff: float,
     d0: float,
@@ -133,7 +133,7 @@ def sgd_monte_carlo_gap(
     step's noise field.
     """
     check_count("trials", trials, minimum=2)
-    lrs = _check_chain(lr_curve, mu, noise_var_eff, d0)
+    lrs = _check_chain(lrs, mu, noise_var_eff, d0)
     noise_std = math.sqrt(noise_var_eff)
     start = math.sqrt(d0)
     with allocation_guard("trials", trials):

@@ -85,7 +85,11 @@ def step_array(total_steps: int) -> np.ndarray:
     of numpy's ``ValueError`` or ``MemoryError``.
     """
     with allocation_guard("total_steps", total_steps):
-        return np.arange(1, total_steps + 1, dtype=np.float64)
+        steps = np.arange(1, total_steps + 1, dtype=np.float64)
+    # numpy wraps lengths from 2**63 - 2 to 2**64 - 2 to an empty array
+    if len(steps) != total_steps:
+        raise DomainError(f"total_steps={total_steps} is too large to allocate")
+    return steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,17 +344,37 @@ def lr_curve(spec: ScheduleSpec) -> np.ndarray:
     return _lrs(spec, step_array(spec.total_steps))
 
 
-def alpha_curve(spec: ScheduleSpec, weight_decay: float) -> np.ndarray:
-    """Per-step smoothing values ``alpha_t = lr_t * weight_decay``.
+def _lr_array(lrs) -> np.ndarray:
+    """``lrs`` as a float64 array, refused unless non-empty, 1-D, finite and >= 0."""
+    try:
+        arr = np.asarray(lrs, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"learning rates must be numbers, got {reprlib.repr(lrs)}") from None
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValidationError(
+            f"learning rates must be a non-empty 1-D array, got shape {arr.shape}"
+        )
+    # min and max propagate nan, so this needs no boolean temporary
+    if not (arr.min() >= 0.0 and arr.max() < math.inf):
+        bad = int(np.argmin((arr >= 0.0) & (arr < math.inf)))
+        raise ValidationError(
+            f"learning rate {arr[bad]} at step {bad + 1}; learning rates must be "
+            f"finite and non-negative"
+        )
+    return arr
+
+
+def alpha_curve(lrs: np.ndarray, weight_decay: float) -> np.ndarray:
+    """Per-step smoothing values ``alpha_t = lrs[t - 1] * weight_decay``, in a new array.
 
     Raises :class:`DomainError` if any alpha exceeds 1, the rule
     :class:`~lrdual.dual.SmoothingSequence` applies: alpha = 1 is an exact
     reset, where a single update overwrites the parameter average.
     """
+    lrs = _lr_array(lrs)
     if not (weight_decay >= 0 and math.isfinite(weight_decay)):
         raise ValidationError(f"weight_decay must be non-negative, got {weight_decay}")
-    alphas = lr_curve(spec)
-    alphas *= weight_decay
+    alphas = lrs * weight_decay
     if alphas.max() > 1.0:
         bad = int(np.argmax(alphas > 1.0))
         raise DomainError(
@@ -360,8 +384,9 @@ def alpha_curve(spec: ScheduleSpec, weight_decay: float) -> np.ndarray:
     return alphas
 
 
-def average_alpha(spec: ScheduleSpec, weight_decay: float) -> float:
+def average_alpha(lrs: np.ndarray, weight_decay: float) -> float:
     """Arithmetic mean of the smoothing values over steps 2..T."""
-    if spec.total_steps < 2:
+    alphas = alpha_curve(lrs, weight_decay)[1:]
+    if not alphas.size:
         raise ValidationError("average_alpha needs a schedule of at least 2 steps")
-    return float(np.mean(alpha_curve(spec, weight_decay)[1:]))
+    return float(np.mean(alphas))

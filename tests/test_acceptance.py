@@ -65,14 +65,14 @@ def test_01_convexity_suite():
         rng = np.random.default_rng(1001)
         for _ in range(1000):
             spec, wd = random_spec_and_wd(rng, max_steps=5000)
-            coeffs = coefficients_at(SmoothingSequence.from_schedule(spec, wd))
+            coeffs = coefficients_at(SmoothingSequence.from_lrs(lr_curve(spec), wd))
             c = coeffs.c
             assert np.all(c >= 0.0)
             assert abs(c.sum() - 1.0) <= 1e-12
         # full per-step tables on a smaller sample
         for _ in range(40):
             spec, wd = random_spec_and_wd(rng, max_steps=250)
-            for log_c in iter_coefficient_rows(SmoothingSequence.from_schedule(spec, wd)):
+            for log_c in iter_coefficient_rows(SmoothingSequence.from_lrs(lr_curve(spec), wd)):
                 row = materialize_log_coefficients(log_c)
                 assert np.all(row >= 0.0)
                 assert abs(row.sum() - 1.0) <= 1e-12
@@ -95,7 +95,7 @@ def test_02_duality_identity():
                 noise_var=float(rng.choice([0.0, 0.1])),
                 theta0_dist_sq=float(dim),
             )
-            trace = train(problem, spec, AdamWConfig(weight_decay=wd), seed=int(k))
+            trace = train(problem, lr_curve(spec), AdamWConfig(weight_decay=wd), seed=int(k))
             coeffs = coefficients_at(trace.smoothing())
             _, rel = reconstruct_from_updates(trace, coeffs)
             assert rel < 1e-9, f"trace {k}: relative error {rel}"
@@ -113,16 +113,17 @@ def test_03_init_coefficient_approximation():
                     warmup_steps=total // 10,
                     decay_ratio=0.0,
                 )
-                seq = SmoothingSequence.from_schedule(spec, wd)
+                lrs = lr_curve(spec)
+                seq = SmoothingSequence.from_lrs(lrs, wd)
                 exact = init_coefficient(seq)
                 approx = init_coefficient_approx(
                     float(np.mean(seq.alphas[1:])), len(seq)
                 )
                 assert abs(approx - exact) / exact <= 0.02
                 # the dropped-first-step pairing via average_alpha agrees too
-                abar = average_alpha(spec, wd)
+                abar = average_alpha(lrs, wd)
                 trimmed = SmoothingSequence(
-                    np.concatenate([[1.0], alpha_curve(spec, wd)[1:]])
+                    np.concatenate([[1.0], alpha_curve(lrs, wd)[1:]])
                 )
                 exact2 = init_coefficient(trimmed)
                 assert abs(init_coefficient_approx(abar, total) - exact2) / exact2 <= 0.02
@@ -262,15 +263,15 @@ def test_08_order_fit_probe():
         segments = 8
         profiles = {}
         for kind, ratio in (("constant", 1.0), ("linear", 0.0)):
-            spec = ScheduleSpec(
+            lrs = lr_curve(ScheduleSpec(
                 kind=ScheduleKind(kind),
                 total_steps=400,
                 peak_base_lr=0.05,
                 warmup_steps=40,
                 decay_ratio=ratio,
-            )
+            ))
             profiles[kind] = np.mean(
-                [order_fit_probe(segments, spec, AdamWConfig(), seed=s) for s in seeds],
+                [order_fit_probe(segments, lrs, AdamWConfig(), seed=s) for s in seeds],
                 axis=0,
             )
         assert int(np.argmin(profiles["constant"])) == segments - 1

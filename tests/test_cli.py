@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import lrdual.schedules
 from lrdual.cli import main
 
 
@@ -616,6 +617,36 @@ class TestDriver:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("lrdual: domain error:")
+
+    @pytest.mark.parametrize("steps", [2**63 - 2, 2**63 - 1, 2**63])
+    @pytest.mark.parametrize(
+        "argv",
+        [["schedule"], ["dual"], ["simulate"], ["rational", "--peak", "1"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_step_count_numpy_wraps_is_one_domain_line(self, tmp_path, capsys, argv, steps):
+        # numpy turns these lengths into an empty arange instead of refusing them
+        assert run(tmp_path, *argv, "--steps", str(steps)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"lrdual: domain error: total_steps={steps} is too large to allocate"]
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["schedule"], ["dual"], ["dual", "--matrix"], ["simulate"], ["simulate", "--wd", "0"]],
+        ids=" ".join,
+    )
+    def test_each_command_evaluates_its_schedule_once(self, tmp_path, monkeypatch, argv):
+        calls = []
+        evaluate = lrdual.schedules._lrs
+
+        def counted(spec, t):
+            calls.append(len(t))
+            return evaluate(spec, t)
+
+        monkeypatch.setattr(lrdual.schedules, "_lrs", counted)
+        assert run(tmp_path, *argv, "--kind", "cosine", "--steps", "30", "--svg") == 0
+        assert calls == [30]
 
     @pytest.mark.parametrize("command", ["schedule", "dual", "simulate"])
     def test_overflowing_rational_decay_is_one_domain_line(self, tmp_path, capsys, command):

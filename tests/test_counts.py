@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lrdual import ScheduleSpec, ValidationError, init_coefficient_approx, lr_at
+from lrdual import ScheduleSpec, ValidationError, init_coefficient_approx, lr_at, lr_curve
 from lrdual.errors import check_count
 from lrdual.oracle import (
     AdamWConfig,
@@ -37,10 +37,11 @@ COUNTS = {
     "sgd_monte_carlo_gap.trials": (
         lambda n: sgd_monte_carlo_gap(np.full(5, 0.1), 1.0, 1.0, 1.0, trials=n, seed=0), 4),
     "order_fit_probe.num_segments": (
-        lambda n: order_fit_probe(n, linear(), AdamWConfig()), 4),
-    "order_fit_probe.dim": (lambda n: order_fit_probe(4, linear(), AdamWConfig(), dim=n), 2),
+        lambda n: order_fit_probe(n, lr_curve(linear()), AdamWConfig()), 4),
+    "order_fit_probe.dim": (
+        lambda n: order_fit_probe(4, lr_curve(linear()), AdamWConfig(), dim=n), 2),
     "order_fit_probe.batch_size": (
-        lambda n: order_fit_probe(4, linear(), AdamWConfig(), batch_size=n), 2),
+        lambda n: order_fit_probe(4, lr_curve(linear()), AdamWConfig(), batch_size=n), 2),
     "init_coefficient_approx.t": (lambda n: init_coefficient_approx(0.5, n), 3),
     "SweepGrid.steps": (lambda n: grid(steps=(n,)), 20),
     "SweepGrid.batches": (lambda n: grid(batches=(n,)), 2),

@@ -18,6 +18,7 @@ from lrdual import (
     init_coefficient,
     init_coefficient_approx,
     iter_coefficient_rows,
+    lr_curve,
     timescale,
 )
 from lrdual.dual import materialize_log_coefficients
@@ -66,11 +67,11 @@ class TestSmoothingSequence:
     def test_reset_value_one_is_legal(self):
         assert len(seq(1.0, 1.0, 0.3)) == 3
 
-    def test_from_schedule_prepends_initial_input(self):
+    def test_from_lrs_prepends_initial_input(self):
         spec = ScheduleSpec(
             kind=ScheduleKind.CONSTANT, total_steps=4, peak_base_lr=0.02, warmup_steps=0
         )
-        s = SmoothingSequence.from_schedule(spec, 0.1)
+        s = SmoothingSequence.from_lrs(lr_curve(spec), 0.1)
         assert len(s) == 5
         assert s.alphas[0] == 1.0
         assert np.all(s.alphas[1:] == 0.002)

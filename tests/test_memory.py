@@ -38,6 +38,12 @@ def test_coefficients_at_holds_five_doubles_per_input():
     assert traced_peak(coefficients_at, seq) <= 5 * 8 * N
 
 
+def test_smoothing_from_lrs_holds_two_and_a_half_doubles_per_step():
+    # the alphas lr * wd and the sequence with alpha_1 = 1 prepended
+    lrs = np.linspace(1e-3, 0.0, N)
+    assert traced_peak(SmoothingSequence.from_lrs, lrs, 0.1) <= 2.5 * 8 * N
+
+
 @pytest.mark.parametrize("kind", list(ScheduleKind))
 def test_lr_curve_holds_four_doubles_per_step(kind):
     warmup = 1000

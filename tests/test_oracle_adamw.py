@@ -14,6 +14,7 @@ from lrdual import (
     ScheduleSpec,
     ValidationError,
     coefficients_at,
+    lr_curve,
 )
 from lrdual.oracle import (
     AdamWConfig,
@@ -23,14 +24,14 @@ from lrdual.oracle import (
 )
 
 
-def spec_of(kind="linear", total=50, warmup=5, peak=0.1, ratio=0.0):
-    return ScheduleSpec(
+def lrs_of(kind="linear", total=50, warmup=5, peak=0.1, ratio=0.0):
+    return lr_curve(ScheduleSpec(
         kind=ScheduleKind(kind),
         total_steps=total,
         peak_base_lr=peak,
         warmup_steps=warmup,
         decay_ratio=ratio,
-    )
+    ))
 
 
 class TestAdamWStep:
@@ -40,7 +41,7 @@ class TestAdamWStep:
         config = AdamWConfig(weight_decay=0.0, epsilon=1e-12)
         trace = train(
             lambda step, theta: np.array([3.7, -2.2, 0.5]),
-            spec_of(kind="constant", total=1, warmup=0, peak=0.01),
+            lrs_of(kind="constant", total=1, warmup=0, peak=0.01),
             config,
             theta0=np.zeros(3),
         )
@@ -50,16 +51,16 @@ class TestAdamWStep:
     def test_zero_lr_freezes_parameters(self):
         # step 1 is the one warmup step, step 2 has lr = 0 and keeps theta;
         # the moments still advance, so a different g_2 changes theta_3
-        spec = ScheduleSpec(
+        lrs = lr_curve(ScheduleSpec(
             kind=ScheduleKind.PIECEWISE, total_steps=3, peak_base_lr=0.1,
             warmup_steps=0, kind_params={"multipliers": (0.0, 1.0)},
-        )
+        ))
         config = AdamWConfig(weight_decay=0.1)
 
         def run(g2):
             grads = (np.array([1.0, -2.0]), g2, np.array([5.0, 5.0]))
             return train(
-                lambda step, theta: grads[step - 1], spec, config, theta0=np.zeros(2)
+                lambda step, theta: grads[step - 1], lrs, config, theta0=np.zeros(2)
             )
 
         same = run(np.array([5.0, 5.0]))
@@ -86,7 +87,7 @@ class TestAdamWStep:
         grads = (np.array([g1]), np.array([g2]))
         trace = train(
             lambda step, theta: grads[step - 1],
-            spec_of(kind="constant", total=2, warmup=0, peak=lr),
+            lrs_of(kind="constant", total=2, warmup=0, peak=lr),
             config,
             theta0=np.zeros(1),
         )
@@ -97,7 +98,7 @@ class TestAdamWStep:
         with pytest.raises(NonFiniteGradientError) as err:
             train(
                 lambda step, theta: np.array([1.0, np.nan]),
-                spec_of(), AdamWConfig(), theta0=np.zeros(2),
+                lrs_of(), AdamWConfig(), theta0=np.zeros(2),
             )
         assert err.value.step == 1
 
@@ -117,7 +118,7 @@ class TestAdamWStep:
 class TestTrain:
     def test_noiseless_descent(self):
         problem = QuadraticProblem(dim=1, curvature=1.0, noise_var=0.0, theta0_dist_sq=4.0)
-        trace = train(problem, spec_of(total=200, warmup=20), AdamWConfig(), seed=0)
+        trace = train(problem, lrs_of(total=200, warmup=20), AdamWConfig(), seed=0)
         optimum = problem.theta_star()
         start = np.linalg.norm(trace.thetas[0] - optimum)
         final = np.linalg.norm(trace.thetas[-1] - optimum)
@@ -125,12 +126,12 @@ class TestTrain:
 
     def test_identical_seeds_bit_identical(self):
         problem = QuadraticProblem(dim=4, curvature=1.0, noise_var=0.5, theta0_dist_sq=1.0)
-        spec = spec_of(total=100, warmup=10)
-        a = train(problem, spec, AdamWConfig(), seed=7)
-        b = train(problem, spec, AdamWConfig(), seed=7)
+        lrs = lrs_of(total=100, warmup=10)
+        a = train(problem, lrs, AdamWConfig(), seed=7)
+        b = train(problem, lrs, AdamWConfig(), seed=7)
         assert np.array_equal(a.thetas, b.thetas)
         assert np.array_equal(a.updates, b.updates)
-        c = train(problem, spec, AdamWConfig(), seed=8)
+        c = train(problem, lrs, AdamWConfig(), seed=8)
         assert not np.array_equal(a.thetas, c.thetas)
 
     def test_per_coordinate_curvature(self):
@@ -138,19 +139,19 @@ class TestTrain:
             dim=3, curvature=np.array([0.5, 1.0, 2.0]), noise_var=0.0,
             theta0_dist_sq=3.0,
         )
-        trace = train(problem, spec_of(total=300, warmup=30), AdamWConfig(), seed=0)
+        trace = train(problem, lrs_of(total=300, warmup=30), AdamWConfig(), seed=0)
         optimum = problem.theta_star()
         gaps = np.abs(trace.thetas[-1] - optimum)
         assert np.all(gaps < np.abs(trace.thetas[0] - optimum))
 
     def test_callable_sees_current_parameters(self):
         problem = QuadraticProblem(dim=3, curvature=1.5, noise_var=0.0, theta0_dist_sq=2.0)
-        spec = spec_of(total=80, warmup=8)
+        lrs = lrs_of(total=80, warmup=8)
         optimum = problem.theta_star()
-        expected = train(problem, spec, AdamWConfig())
+        expected = train(problem, lrs, AdamWConfig())
         called = train(
             lambda step, theta: problem.curvature * (theta - optimum),
-            spec,
+            lrs,
             AdamWConfig(),
             theta0=problem.theta0(),
         )
@@ -166,38 +167,38 @@ class TestTrain:
             seen.append(theta)
             return problem.curvature * (theta - optimum)
 
-        trace = train(gradient, spec_of(total=30, warmup=3), AdamWConfig(), theta0=problem.theta0())
+        trace = train(gradient, lrs_of(total=30, warmup=3), AdamWConfig(), theta0=problem.theta0())
         assert len(seen) == 30
         assert np.array_equal(np.array(seen), trace.thetas[:-1])
 
     def test_gradient_array_refused(self):
         grads = np.zeros((50, 3))
         with pytest.raises(ValidationError, match="gradient callable"):
-            train(grads, spec_of(), AdamWConfig(), theta0=np.zeros(3))
+            train(grads, lrs_of(), AdamWConfig(), theta0=np.zeros(3))
 
     def test_callable_needs_theta0(self):
         with pytest.raises(ValidationError):
-            train(lambda step, theta: np.zeros(2), spec_of(), AdamWConfig())
+            train(lambda step, theta: np.zeros(2), lrs_of(), AdamWConfig())
 
     def test_callable_gradient_of_another_length_rejected(self):
         with pytest.raises(ValidationError, match="shape"):
-            train(lambda step, theta: np.ones(4), spec_of(), AdamWConfig(), theta0=np.zeros(3))
+            train(lambda step, theta: np.ones(4), lrs_of(), AdamWConfig(), theta0=np.zeros(3))
 
     def test_quadratic_theta0_of_another_length_rejected(self):
         with pytest.raises(ValidationError, match="dim=5"):
-            train(QuadraticProblem(dim=5), spec_of(), AdamWConfig(), theta0=np.zeros(3))
+            train(QuadraticProblem(dim=5), lrs_of(), AdamWConfig(), theta0=np.zeros(3))
 
     def test_divergence_reports_first_bad_step(self):
         # lr * wd > 2 flips the decay factor below -1 and the iterate blows up
-        spec = spec_of(kind="constant", total=5000, warmup=0, peak=50.0)
+        lrs = lrs_of(kind="constant", total=5000, warmup=0, peak=50.0)
         problem = QuadraticProblem(dim=1, curvature=1.0, noise_var=0.0, theta0_dist_sq=1.0)
         with pytest.raises(DivergenceError) as err:
-            train(problem, spec, AdamWConfig(weight_decay=0.1), seed=0)
+            train(problem, lrs, AdamWConfig(weight_decay=0.1), seed=0)
         assert err.value.step >= 1
 
     def test_zero_weight_decay_trace_has_no_updates(self):
         problem = QuadraticProblem(dim=2, curvature=1.0, noise_var=0.0, theta0_dist_sq=1.0)
-        trace = train(problem, spec_of(total=20, warmup=2), AdamWConfig(weight_decay=0.0))
+        trace = train(problem, lrs_of(total=20, warmup=2), AdamWConfig(weight_decay=0.0))
         assert trace.updates is None
         with pytest.raises(DomainError):
             trace.smoothing()
@@ -217,7 +218,7 @@ class TestBitPins:
 
     def test_weight_decay_trace(self):
         trace = train(
-            QuadraticProblem(dim=5, noise_var=0.5), spec_of(**self.SPEC),
+            QuadraticProblem(dim=5, noise_var=0.5), lrs_of(**self.SPEC),
             AdamWConfig(weight_decay=0.1), seed=3,
         )
         assert self.digest(trace.thetas) == (
@@ -229,7 +230,7 @@ class TestBitPins:
 
     def test_zero_weight_decay_trace(self):
         trace = train(
-            QuadraticProblem(dim=5, noise_var=0.5), spec_of(**self.SPEC),
+            QuadraticProblem(dim=5, noise_var=0.5), lrs_of(**self.SPEC),
             AdamWConfig(weight_decay=0.0), seed=3,
         )
         assert self.digest(trace.thetas) == (
@@ -243,8 +244,8 @@ class TestReconstruction:
         problem = QuadraticProblem(
             dim=dim, curvature=1.0, noise_var=noise, theta0_dist_sq=float(dim)
         )
-        spec = spec_of(total=total, warmup=total // 10)
-        return train(problem, spec, AdamWConfig(weight_decay=wd), seed=seed)
+        lrs = lrs_of(total=total, warmup=total // 10)
+        return train(problem, lrs, AdamWConfig(weight_decay=wd), seed=seed)
 
     def test_duality_identity_2000_steps(self):
         trace = self._trace()

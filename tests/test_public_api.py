@@ -2,10 +2,12 @@
 
 ``lrdual`` resolves its names on first use, so ``hasattr`` alone would pass
 for a name that resolved to the wrong object; the package is also checked
-against each name's home module.
+against each name's home module. The README's library example runs as
+written, so a renamed API cannot leave it stale.
 """
 
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,10 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
         assert lrdual.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(block, "README.md", "exec"), {})

@@ -19,6 +19,8 @@ from lrdual import (
     lr_curve,
     mup_scale,
 )
+from lrdual.oracle import AdamWConfig, QuadraticProblem, order_fit_probe, stream, train
+from lrdual.schedules import step_array
 
 from helpers import reference_lr_curve
 
@@ -230,31 +232,31 @@ class TestAlphaCurve:
             warmup_steps=5,
             mup_factor=0.125,
         )
-        alphas = alpha_curve(spec, 0.1)
+        alphas = alpha_curve(lr_curve(spec), 0.1)
         assert np.all(alphas[5:] == 2e-3 * 0.1)
 
     def test_zero_weight_decay(self):
-        assert np.all(alpha_curve(linear(20, 2), 0.0) == 0.0)
+        assert np.all(alpha_curve(lr_curve(linear(20, 2)), 0.0) == 0.0)
 
     def test_d2z_endpoint_zero(self):
-        assert alpha_curve(linear(100, 10, peak_base=2e-3), 0.1)[-1] == 0.0
+        assert alpha_curve(lr_curve(linear(100, 10, peak_base=2e-3)), 0.1)[-1] == 0.0
 
     def test_alpha_one_is_an_exact_reset(self):
         spec = ScheduleSpec(
             kind=ScheduleKind.CONSTANT, total_steps=5, peak_base_lr=2.0, warmup_steps=0
         )
-        assert np.all(alpha_curve(spec, 0.5) == 1.0)
+        assert np.all(alpha_curve(lr_curve(spec), 0.5) == 1.0)
 
     def test_alpha_above_one_rejected(self):
         spec = ScheduleSpec(
             kind=ScheduleKind.CONSTANT, total_steps=5, peak_base_lr=2.0, warmup_steps=0
         )
         with pytest.raises(DomainError, match="> 1 at step 1"):
-            alpha_curve(spec, np.nextafter(0.5, 1.0))
+            alpha_curve(lr_curve(spec), np.nextafter(0.5, 1.0))
 
     def test_negative_weight_decay_rejected(self):
         with pytest.raises(ValidationError):
-            alpha_curve(linear(5, 0), -0.1)
+            alpha_curve(lr_curve(linear(5, 0)), -0.1)
 
 
 class TestAverageAlpha:
@@ -262,18 +264,18 @@ class TestAverageAlpha:
         spec = ScheduleSpec(
             kind=ScheduleKind.CONSTANT, total_steps=40, peak_base_lr=0.02, warmup_steps=0
         )
-        assert average_alpha(spec, 0.1) == pytest.approx(2e-3, rel=1e-15)
+        assert average_alpha(lr_curve(spec), 0.1) == pytest.approx(2e-3, rel=1e-15)
 
     def test_linear_ramp_halves_peak(self):
         spec = linear(20001, 0, peak_base=0.02)
-        assert average_alpha(spec, 0.1) == pytest.approx(1e-3, rel=1e-3)
+        assert average_alpha(lr_curve(spec), 0.1) == pytest.approx(1e-3, rel=1e-3)
 
     def test_trapezoid_cross_check(self):
         # independent oracles: per-step summation via lr_at, and an exact
         # rational trapezoid over the warmup ramp and decay wedge
         spec = linear(11752, 1175, peak_base=1.6e-2, rho=0.125)
         wd = 0.1
-        got = average_alpha(spec, wd)
+        got = average_alpha(lr_curve(spec), wd)
 
         summed = sum(lr_at(spec, t) * wd for t in range(2, 11753)) / 11751
         assert got == pytest.approx(summed, rel=1e-12)
@@ -287,8 +289,57 @@ class TestAverageAlpha:
     def test_needs_two_steps(self):
         with pytest.raises(ValidationError):
             average_alpha(
-                ScheduleSpec(kind="constant", total_steps=1, peak_base_lr=0.1), 0.1
+                lr_curve(ScheduleSpec(kind="constant", total_steps=1, peak_base_lr=0.1)), 0.1
             )
+
+
+class TestStepArray:
+    @pytest.mark.parametrize("total", [2**63 - 2, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1])
+    def test_unallocatable_count_is_a_domain_error(self, total):
+        # numpy wraps lengths from 2**63 - 2 to 2**64 - 2 to an empty arange
+        with pytest.raises(DomainError, match=f"total_steps={total} is too large to allocate"):
+            step_array(total)
+
+
+BAD_LRS = {
+    "empty": np.array([]),
+    "scalar": np.float64(0.1),
+    "matrix": np.full((5, 2), 0.1),
+    "nan": np.array([0.1, np.nan, 0.1]),
+    "inf": np.array([0.1, np.inf, 0.1]),
+    "-inf": np.array([0.1, -np.inf, 0.1]),
+    "negative": np.array([0.1, -1e-300, 0.1]),
+    "text": ["0.1", "fast"],
+}
+
+
+LR_CONSUMERS = {
+    "alpha_curve": lambda lrs: alpha_curve(lrs, 0.1),
+    "stream": lambda lrs: next(stream(QuadraticProblem(dim=2), lrs, AdamWConfig())),
+    "train": lambda lrs: train(QuadraticProblem(dim=2), lrs, AdamWConfig()),
+    "order_fit_probe": lambda lrs: order_fit_probe(4, lrs, AdamWConfig()),
+}
+
+
+class TestLrArrays:
+    @pytest.mark.parametrize("consumer", LR_CONSUMERS)
+    @pytest.mark.parametrize("bad", BAD_LRS)
+    def test_bad_lr_array_is_a_validation_error(self, consumer, bad):
+        with pytest.raises(ValidationError, match="learning rate"):
+            LR_CONSUMERS[consumer](BAD_LRS[bad])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "negative"])
+    def test_bad_value_names_its_step(self, bad):
+        with pytest.raises(ValidationError, match="at step 2;"):
+            alpha_curve(BAD_LRS[bad], 0.1)
+
+    def test_caller_array_is_left_as_it_was(self):
+        lrs = lr_curve(linear(20, 2))
+        kept = lrs.copy()
+        alpha_curve(lrs, 0.1)
+        average_alpha(lrs, 0.1)
+        train(QuadraticProblem(dim=2), lrs, AdamWConfig())
+        assert np.array_equal(lrs, kept)
 
 
 class TestValidation:
