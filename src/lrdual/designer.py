@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleTargetError, ValidationError
+from .errors import DomainError, InfeasibleTargetError, ValidationError, check_real
 from .schedules import ScheduleKind, ScheduleSpec, lr_curve
 
 __all__ = [
@@ -86,29 +86,19 @@ def rational_schedule(
     steps (``ScheduleKind.RATIONAL``). With weight decay 1 and no warmup this
     is the harmonic sequence 1, 1/2, 1/3, ...
     """
-    if weight_decay == 0:
-        raise DomainError(
-            "weight_decay of zero degenerates the rational recurrence to a "
-            "constant schedule"
-        )
-    if not (weight_decay > 0 and math.isfinite(weight_decay)):
-        raise DomainError(f"weight_decay must be positive, got {weight_decay}")
-    if not (peak_lr > 0 and math.isfinite(peak_lr)):
-        raise ValidationError(f"peak_lr must be positive, got {peak_lr}")
+    spec = ScheduleSpec(
+        kind=ScheduleKind.RATIONAL,
+        total_steps=total_steps,
+        peak_base_lr=peak_lr,
+        warmup_steps=warmup_steps,
+        kind_params={"weight_decay": weight_decay},
+    )
     if peak_lr * weight_decay > 1.0:
         raise DomainError(
             f"peak smoothing alpha = peak_lr * weight_decay = {peak_lr * weight_decay} "
             f"exceeds 1; lower the peak learning rate or the weight decay"
         )
-    return lr_curve(
-        ScheduleSpec(
-            kind=ScheduleKind.RATIONAL,
-            total_steps=total_steps,
-            peak_base_lr=peak_lr,
-            warmup_steps=warmup_steps,
-            kind_params={"weight_decay": weight_decay},
-        )
-    )
+    return lr_curve(spec)
 
 
 def schedule_from_coefficients(target: TargetProfile, weight_decay: float) -> DesignedSchedule:
@@ -127,8 +117,7 @@ def schedule_from_coefficients(target: TargetProfile, weight_decay: float) -> De
     infeasibility raises :class:`InfeasibleTargetError` naming its index,
     never clamps.
     """
-    if not (weight_decay > 0 and math.isfinite(weight_decay)):
-        raise DomainError(f"weight_decay must be positive, got {weight_decay}")
+    weight_decay = check_real("weight_decay", weight_decay, bounds="()")
     # no alpha exceeds the pseudo-step's 1, so its LR 1 / weight_decay is the largest
     if not math.isfinite(1.0 / weight_decay):
         raise DomainError(f"learning rate 1 / weight_decay overflows at {weight_decay}")

@@ -23,13 +23,12 @@ arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InfiniteTimescaleError, ValidationError, check_count
+from .errors import DomainError, InfiniteTimescaleError, ValidationError, check_count, check_real
 from .schedules import alpha_curve
 
 __all__ = [
@@ -176,19 +175,14 @@ def init_coefficient_approx(avg_alpha: float, t: int) -> float:
     the relative error is second order in their spread.
     """
     check_count("t", t)
-    if not (0.0 <= avg_alpha < 1.0) or not math.isfinite(avg_alpha):
-        raise DomainError(f"avg_alpha must be in [0, 1), got {avg_alpha}")
-    return (1.0 - avg_alpha) ** (t - 1)
+    return (1.0 - check_real("avg_alpha", avg_alpha, 0.0, 1.0)) ** (t - 1)
 
 
 def timescale(lr: float, weight_decay: float) -> float:
     """Averaging window ``1 / (lr * weight_decay)`` in steps."""
+    weight_decay = check_real("weight_decay", weight_decay)
     if weight_decay == 0:
         raise InfiniteTimescaleError(
             "weight_decay is zero: the averaging timescale is infinite"
         )
-    if not (lr > 0 and math.isfinite(lr)):
-        raise DomainError(f"lr must be positive, got {lr}")
-    if not (weight_decay > 0 and math.isfinite(weight_decay)):
-        raise DomainError(f"weight_decay must be positive, got {weight_decay}")
-    return 1.0 / (lr * weight_decay)
+    return 1.0 / (check_real("lr", lr, bounds="()") * weight_decay)

@@ -2,9 +2,18 @@
 
 The CLI maps these onto exit codes: validation errors exit 1, domain and
 infeasibility errors exit 2, divergence errors exit 3, I/O errors exit 4.
+
+An argument outside its documented range is a :class:`ValidationError`;
+every count goes through :func:`check_count` and every real scalar through
+:func:`check_real`, which refuse bools and strings alike. A
+:class:`DomainError` is for what valid inputs lead to: a smoothing value
+above 1, an overflow, a non-finite result, an unstable step or an
+infeasible target.
 """
 
+import math
 import numbers
+import reprlib
 from contextlib import contextmanager
 
 
@@ -59,6 +68,30 @@ def check_count(name: str, value: object, minimum: int = 1) -> None:
         raise ValidationError(
             f"{name} must be {wanted.get(minimum, f'an integer >= {minimum}')}, got {value!r}"
         )
+
+
+def check_real(
+    name: str, value: object, low: float = 0.0, high: float = math.inf, bounds: str = "[)"
+) -> float:
+    """``value`` as a float, refused unless it is a real number in the interval.
+
+    ``bounds`` gives the interval's brackets, ``"[)"`` (the default), ``"()"``,
+    ``"(]"`` or ``"[]"``. Python and numpy numbers pass; bools, strings,
+    arrays, nan and ints past the float range do not.
+    """
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            x = float(value)
+        except OverflowError:  # an int past the float range
+            x = math.nan
+        above = low <= x if bounds[0] == "[" else low < x
+        below = x <= high if bounds[1] == "]" else x < high
+        if above and below:
+            return x
+    raise ValidationError(
+        f"{name} must be a number in {bounds[0]}{low:g}, {high:g}{bounds[1]}, "
+        f"got {reprlib.repr(value)}"
+    )
 
 
 @contextmanager

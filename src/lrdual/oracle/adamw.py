@@ -39,6 +39,7 @@ from ..errors import (
     DomainError,
     NonFiniteGradientError,
     ValidationError,
+    check_real,
 )
 from ..schedules import _lr_array
 from .quadratic import QuadraticProblem
@@ -64,14 +65,10 @@ class AdamWConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.weight_decay and math.isfinite(self.weight_decay)):
-            raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not (0.0 <= self.beta1 < 1.0):
-            raise ValidationError(f"beta1 must be in [0, 1), got {self.beta1}")
-        if not (0.0 <= self.beta2 < 1.0):
-            raise ValidationError(f"beta2 must be in [0, 1), got {self.beta2}")
-        if not (0.0 < self.epsilon < math.inf):
-            raise ValidationError(f"epsilon must be positive and finite, got {self.epsilon}")
+        check_real("weight_decay", self.weight_decay)
+        check_real("beta1", self.beta1, 0.0, 1.0)
+        check_real("beta2", self.beta2, 0.0, 1.0)
+        check_real("epsilon", self.epsilon, bounds="()")
 
 
 @dataclass(eq=False)

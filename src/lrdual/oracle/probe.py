@@ -10,11 +10,9 @@ fit segment sits before the end of the stream.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ..errors import ValidationError, check_count
+from ..errors import ValidationError, check_count, check_real
 from ..schedules import _lr_array
 from .adamw import AdamWConfig, stream
 from .rng import derive_seed
@@ -49,8 +47,7 @@ def order_fit_probe(
         )
     check_count("dim", dim)
     check_count("batch_size", batch_size)
-    if not (0 <= noise_std < math.inf):
-        raise ValidationError(f"noise_std must be finite and >= 0, got {noise_std}")
+    check_real("noise_std", noise_std)
     per_segment = total // num_segments
 
     gen = np.random.Generator(

@@ -17,7 +17,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from ..errors import DomainError, ValidationError, allocation_guard, check_count
+from ..errors import DomainError, ValidationError, allocation_guard, check_count, check_real
+from ..schedules import _lr_array
 from .rng import normal_field
 
 __all__ = [
@@ -54,12 +55,8 @@ class QuadraticProblem:
         if not np.all(np.isfinite(curv)) or curv.min() <= 0:
             raise ValidationError("curvature must be positive in every coordinate")
         object.__setattr__(self, "curvature", curv)
-        if not (self.noise_var >= 0 and math.isfinite(self.noise_var)):
-            raise ValidationError(f"noise_var must be >= 0, got {self.noise_var}")
-        if not (self.theta0_dist_sq >= 0 and math.isfinite(self.theta0_dist_sq)):
-            raise ValidationError(
-                f"theta0_dist_sq must be >= 0, got {self.theta0_dist_sq}"
-            )
+        check_real("noise_var", self.noise_var)
+        check_real("theta0_dist_sq", self.theta0_dist_sq)
         check_count("batch_size", self.batch_size)
 
     @property
@@ -86,11 +83,10 @@ def _check_chain(
     lrs: np.ndarray, mu: float, noise_var_eff: float, d0: float
 ) -> np.ndarray:
     """Validate a 1-D SGD chain's inputs; return the step sizes as float64."""
-    if not (mu > 0 and math.isfinite(mu)):
-        raise DomainError(f"mu must be positive, got {mu}")
-    if not (0 <= noise_var_eff < math.inf and 0 <= d0 < math.inf):
-        raise DomainError("noise_var_eff and d0 must be finite and non-negative")
-    lrs = np.asarray(lrs, dtype=np.float64)
+    check_real("mu", mu, bounds="()")
+    check_real("noise_var_eff", noise_var_eff)
+    check_real("d0", d0)
+    lrs = _lr_array(lrs)
     step = _first_unstable_step(lrs, mu)
     if step is not None:
         raise DomainError(

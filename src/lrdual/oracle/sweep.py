@@ -17,7 +17,7 @@ from typing import Any, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import DomainError, ValidationError, check_count
+from ..errors import DomainError, ValidationError, check_count, check_real
 from ..schedules import ScheduleSpec, lr_curve, steps_from_fraction
 from .quadratic import _first_unstable_step, sgd_monte_carlo_gap, sgd_quadratic_expected_gap
 from .rng import derive_seed
@@ -25,13 +25,6 @@ from .rng import derive_seed
 __all__ = ["SweepSchedule", "SweepGrid", "SweepCellResult", "run_noise_sweep"]
 
 _MODES = ("analytic", "monte-carlo")
-
-
-def _number(value: object, name: str) -> float:
-    """A JSON number as a float; bools and strings are refused, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"sweep grid {name}: expected a number, got {value!r}")
-    return float(value)
 
 
 def _integer(value: object) -> object:
@@ -46,6 +39,10 @@ class SweepSchedule:
     kind: str
     decay_ratio: float = 0.0
     kind_params: Mapping[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        ratio = check_real("decay_ratio", self.decay_ratio, 0.0, 1.0, "[]")
+        object.__setattr__(self, "decay_ratio", ratio)
 
 
 @dataclass(frozen=True)
@@ -66,18 +63,19 @@ class SweepGrid:
         for name in ("schedules", "peak_lrs", "sigma2s", "steps", "batches"):
             if not getattr(self, name):
                 raise ValidationError(f"sweep grid axis {name} must be non-empty")
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise ValidationError(f"mu must be positive, got {self.mu}")
-        if not (self.d0 >= 0 and math.isfinite(self.d0)):
-            raise ValidationError(f"d0 must be non-negative and finite, got {self.d0}")
-        for sigma2 in self.sigma2s:
-            if not (sigma2 >= 0 and math.isfinite(sigma2)):
-                raise ValidationError(f"sigma2s must be non-negative and finite, got {sigma2}")
+        # Reals are stored as floats, so sweep_config.json echoes a JSON 1 as 1.0.
+        reals = {
+            "mu": check_real("mu", self.mu, bounds="()"),
+            "d0": check_real("d0", self.d0),
+            "warmup_frac": check_real("warmup_frac", self.warmup_frac, 0.0, 1.0),
+            "peak_lrs": tuple(check_real("peak_lrs", v, bounds="()") for v in self.peak_lrs),
+            "sigma2s": tuple(check_real("sigma2s", v) for v in self.sigma2s),
+        }
+        for name, value in reals.items():
+            object.__setattr__(self, name, value)
         for name in ("steps", "batches"):
             for count in getattr(self, name):
                 check_count(name, count)
-        if not (0.0 <= self.warmup_frac < 1.0):
-            raise ValidationError(f"warmup_frac must be in [0, 1), got {self.warmup_frac}")
         check_count("trials", self.trials, minimum=2)
         # One spec per (schedule, peak, steps); not a field, so equality and
         # dataclasses.asdict (the sweep_config.json echo) ignore it.
@@ -103,20 +101,20 @@ class SweepGrid:
             schedules = tuple(
                 SweepSchedule(
                     kind=str(entry["kind"]),
-                    decay_ratio=_number(entry.get("decay_ratio", 0.0), "decay_ratio"),
+                    decay_ratio=entry.get("decay_ratio", 0.0),
                     kind_params=dict(entry.get("kind_params", {})),
                 )
                 for entry in data["schedules"]
             )
             return cls(
                 schedules=schedules,
-                peak_lrs=tuple(_number(v, "peak_lrs") for v in data["peak_lrs"]),
-                sigma2s=tuple(_number(v, "sigma2s") for v in data["sigma2s"]),
+                peak_lrs=tuple(data["peak_lrs"]),
+                sigma2s=tuple(data["sigma2s"]),
                 steps=tuple(_integer(v) for v in data["steps"]),
                 batches=tuple(_integer(v) for v in data["batches"]),
-                mu=_number(data.get("mu", 1.0), "mu"),
-                d0=_number(data.get("d0", 1.0), "d0"),
-                warmup_frac=_number(data.get("warmup_frac", 0.1), "warmup_frac"),
+                mu=data.get("mu", 1.0),
+                d0=data.get("d0", 1.0),
+                warmup_frac=data.get("warmup_frac", 0.1),
                 trials=_integer(data.get("trials", 1000)),
             )
         except (KeyError, OverflowError, TypeError, ValueError) as exc:

@@ -13,7 +13,6 @@ a warmup of one step: the first step already runs at the peak rate.
 from __future__ import annotations
 
 import math
-import numbers
 import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, allocation_guard, check_count
+from .errors import DomainError, ValidationError, allocation_guard, check_count, check_real
 
 __all__ = [
     "ScheduleKind",
@@ -73,9 +72,7 @@ def _snap_ceil(x: float) -> int:
 
 def steps_from_fraction(fraction: float, total_steps: int) -> int:
     """Convert a fraction of the run (e.g. warmup 0.1) into a step count."""
-    if not 0.0 <= fraction < 1.0:
-        raise ValidationError(f"fraction must be in [0, 1), got {fraction}")
-    return _snap_floor(fraction * total_steps)
+    return _snap_floor(check_real("fraction", fraction, 0.0, 1.0) * total_steps)
 
 
 def step_array(total_steps: int) -> np.ndarray:
@@ -138,8 +135,7 @@ class ScheduleSpec:
                 f"total_steps={self.total_steps}"
             )
         mup_scale(self.peak_base_lr, self.mup_factor)
-        if not (0.0 <= self.decay_ratio <= 1.0):
-            raise ValidationError(f"decay_ratio must be in [0, 1], got {self.decay_ratio}")
+        check_real("decay_ratio", self.decay_ratio, 0.0, 1.0, "[]")
         self._validate_kind_params()
 
     # -- kind parameter handling -------------------------------------------------
@@ -152,12 +148,11 @@ class ScheduleSpec:
             )
         return value
 
-    def _number(self, name: str, default=None) -> float:
-        """A numeric kind parameter as a float; bools and strings are refused."""
-        value = self._param(name, default)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValidationError(f"kind_params.{name} must be a number, got {value!r}")
-        return float(value)
+    def _number(
+        self, name: str, default=None, low: float = 0.0, high: float = math.inf, bounds: str = "[)"
+    ) -> float:
+        """A numeric kind parameter as a float, checked by :func:`check_real`."""
+        return check_real(f"kind_params.{name}", self._param(name, default), low, high, bounds)
 
     def _validate_kind_params(self) -> None:
         kind = self.kind
@@ -169,26 +164,14 @@ class ScheduleSpec:
                     f"it reads {', '.join(known) or 'none'}"
                 )
         if kind is ScheduleKind.STEP:
-            mf = self._number("milestone_fraction", 0.9)
-            df = self._number("drop_fraction", 0.001)
-            if not 0.0 < mf <= 1.0:
-                raise ValidationError(
-                    f"kind_params.milestone_fraction must be in (0, 1], got {mf}"
-                )
-            if not 0.0 <= df <= 1.0:
-                raise ValidationError(
-                    f"kind_params.drop_fraction must be in [0, 1], got {df}"
-                )
+            mf = self._number("milestone_fraction", 0.9, 0.0, 1.0, "(]")
+            self._number("drop_fraction", 0.001, 0.0, 1.0, "[]")
             if _snap_ceil(mf * self.total_steps) < self.effective_warmup:
                 raise ValidationError(
                     "kind_params.milestone_fraction places the drop inside warmup"
                 )
         elif kind is ScheduleKind.WSD:
-            cf = self._number("cooldown_fraction", 0.225)
-            if not 0.0 < cf <= 1.0:
-                raise ValidationError(
-                    f"kind_params.cooldown_fraction must be in (0, 1], got {cf}"
-                )
+            self._number("cooldown_fraction", 0.225, 0.0, 1.0, "(]")
             if self._wsd_cooldown_start() < self.effective_warmup:
                 raise ValidationError(
                     "kind_params.cooldown_fraction leaves no stable phase after warmup"
@@ -196,12 +179,7 @@ class ScheduleSpec:
         elif kind is ScheduleKind.CYCLIC:
             check_count("kind_params.period_steps", self._param("period_steps"))
         elif kind is ScheduleKind.RATIONAL:
-            wd = self._number("weight_decay")
-            if not (wd > 0 and math.isfinite(wd)):
-                raise ValidationError(
-                    f"kind_params.weight_decay must be positive for the rational "
-                    f"recurrence, got {wd}"
-                )
+            self._number("weight_decay", bounds="()")
         elif kind is ScheduleKind.PIECEWISE:
             value = self._param("multipliers")
             try:
@@ -246,11 +224,8 @@ class ScheduleSpec:
 
 def mup_scale(peak_base_lr: float, mup_factor: float) -> float:
     """Scale a base learning rate by the width ratio ``rho``."""
-    if not (peak_base_lr > 0 and math.isfinite(peak_base_lr)):
-        raise ValidationError(f"peak_base_lr must be positive, got {peak_base_lr}")
-    if not (0.0 < mup_factor <= 1.0):
-        raise ValidationError(f"mup_factor must be in (0, 1], got {mup_factor}")
-    return mup_factor * peak_base_lr
+    peak_base_lr = check_real("peak_base_lr", peak_base_lr, bounds="()")
+    return check_real("mup_factor", mup_factor, 0.0, 1.0, "(]") * peak_base_lr
 
 
 def _decay_shape(spec: ScheduleSpec, t: np.ndarray, w_eff: float) -> None:
@@ -371,10 +346,7 @@ def alpha_curve(lrs: np.ndarray, weight_decay: float) -> np.ndarray:
     :class:`~lrdual.dual.SmoothingSequence` applies: alpha = 1 is an exact
     reset, where a single update overwrites the parameter average.
     """
-    lrs = _lr_array(lrs)
-    if not (weight_decay >= 0 and math.isfinite(weight_decay)):
-        raise ValidationError(f"weight_decay must be non-negative, got {weight_decay}")
-    alphas = lrs * weight_decay
+    alphas = _lr_array(lrs) * check_real("weight_decay", weight_decay)
     if alphas.max() > 1.0:
         bad = int(np.argmax(alphas > 1.0))
         raise DomainError(

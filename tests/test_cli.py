@@ -242,9 +242,10 @@ class TestDesign:
         assert "sum" in capsys.readouterr().err
 
     def test_domain_error_exits_2(self, tmp_path):
+        # a valid weight decay whose 1 / wd overflows; --wd 0 is out of range (exit 1)
         profile = tmp_path / "profile.csv"
         profile.write_text("i,c\n1,1.0\n")
-        code = run(tmp_path, "design", "--target", str(profile), "--wd", "0")
+        code = run(tmp_path, "design", "--target", str(profile), "--wd", "1e-310")
         assert code == 2
 
 
@@ -336,7 +337,7 @@ class TestSimulate:
         out = tmp_path / "out"
         assert run(out, "simulate", "--steps", "10", "--eps", "inf") == 1
         assert capsys.readouterr().err == (
-            "lrdual: validation error: epsilon must be positive and finite, got inf\n"
+            "lrdual: validation error: epsilon must be a number in (0, inf), got inf\n"
         )
         assert not out.exists()
 
@@ -360,6 +361,30 @@ class TestSimulate:
             "lrdual: domain error: final_dist_sq is inf; JSON cannot hold it\n"
         )
         assert not out.exists()
+
+
+def _grid_real_edges(config):
+    """Sweep-grid documents with one real field set to a value outside its rule.
+
+    The values are raw JSON text, so ``1e400`` reaches the parser as written.
+    """
+    fields = {
+        "mu": {"mu": "@"},
+        "d0": {"d0": "@"},
+        "warmup_frac": {"warmup_frac": "@"},
+        "peak_lrs": {"peak_lrs": ["@"]},
+        "sigma2s": {"sigma2s": ["@"]},
+        "decay_ratio": {"schedules": [{"kind": "linear", "decay_ratio": "@"}]},
+        "cooldown_fraction": {
+            "schedules": [{"kind": "wsd", "kind_params": {"cooldown_fraction": "@"}}]
+        },
+    }
+    values = ("true", '"0.1"', "null", "-1", "1e400", "NaN", "-Infinity", "[]", "{}")
+    return [
+        pytest.param(json.dumps({**config, **field}).replace('"@"', value), id=f"{name}={value}")
+        for name, field in fields.items()
+        for value in values
+    ]
 
 
 class TestSweep:
@@ -430,6 +455,7 @@ class TestSweep:
             {"trials": 3.9},
             {"batches": [True]},
             {"steps": ["5"]},
+            {"steps": [10**400]},
             {"batches": [0]},
             {"batches": [-1]},
             {"sigma2s": [-1]},
@@ -453,6 +479,7 @@ class TestSweep:
             {"peak_lrs": [-0.1]},
             {"trials": 1},
             {"trials": False},
+            *_grid_real_edges(CONFIG),
             "{not json",
             "",
             b"\xff\xfe{",
@@ -472,6 +499,20 @@ class TestSweep:
         assert len(lines) == 1
         assert lines[0].startswith("lrdual: validation error:")
 
+
+    def test_config_echo_writes_reals_as_floats(self, tmp_path):
+        # integral JSON numbers in real fields echo as floats, counts as ints
+        document = {**self.CONFIG, "schedules": [{"kind": "linear", "decay_ratio": 0}],
+                    "peak_lrs": [1], "sigma2s": [0], "mu": 2, "d0": 1, "warmup_frac": 0,
+                    "steps": [80.0]}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(document))
+        assert run(tmp_path, "sweep", "--config", str(path)) == 0
+        echo = (tmp_path / "sweep_config.json").read_text()
+        for text in ('"decay_ratio": 0.0', '"peak_lrs": [\n    1.0\n  ]',
+                     '"sigma2s": [\n    0.0\n  ]', '"mu": 2.0', '"d0": 1.0',
+                     '"warmup_frac": 0.0', '"steps": [\n    80\n  ]'):
+            assert text in echo
 
     def test_huge_steps_is_one_domain_line(self, tmp_path, capsys):
         path = tmp_path / "grid.json"

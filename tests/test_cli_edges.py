@@ -8,6 +8,10 @@ flag is set in turn to each of ``INT_EDGES`` the same way. Whatever the
 command makes of the value, it must exit 0-4, print at most one line besides
 argparse's usage, and let no warning escape.
 
+Two flags get their own sweeps: ``--wd`` outside its range exits 1 on every
+command that takes it, and ``simulate`` either reconstructs its parameters
+or exits 2 at every weight decay from 1 down to 0.
+
 The huge int values are 2**63 and 2**64, so no case allocates or runs that
 long: numpy refuses 2**64 entries outright, and a step count of 2**63, which
 numpy's ``arange`` would wrap to an empty array, is refused by ``step_array``.
@@ -16,6 +20,7 @@ numpy's ``arange`` would wrap to an empty array, is refused by ``step_array``.
 import contextlib
 import functools
 import io
+import json
 import warnings
 
 import pytest
@@ -138,3 +143,45 @@ INT_CASES = [
 def test_int_flag_edges(tmp_path, monkeypatch, command, kind, flags):
     base, _ = _base_argv(command, kind, tmp_path)
     assert _edge_failures(tmp_path, monkeypatch, base, flags, INT_EDGES) == []
+
+
+@pytest.mark.parametrize("value", ["-1", "inf", "nan", "0"])
+@pytest.mark.parametrize("command", ["schedule", "dual", "simulate", "design", "rational"])
+def test_weight_decay_outside_its_range_exits_1(tmp_path, command, value):
+    # design and rational divide by the weight decay, so 0 is outside their range
+    kind = None if command in ("design", "rational") else "linear"
+    base, _ = _base_argv(command, kind, tmp_path)
+    code, lines, caught = _run([*base, f"--wd={value}", "--out", str(tmp_path / "out")])
+    if value == "0" and kind is not None:
+        assert (code, lines, caught) == (0, [], [])
+    else:
+        assert (code, len(lines), caught) == (1, 1, [])
+        assert lines[0].startswith("lrdual: validation error: ")
+        assert "weight_decay must be a number in " in lines[0]
+
+
+# 1e-0, 1e-4, ..., 1e-320, then the subnormal edge where x_t = -update / wd overflows
+WD_TOWARD_ZERO = [
+    *(f"1e-{k}" for k in range(0, 321, 4)),
+    *("3e-308", "2e-308", "1.5e-308", "1e-308", "5e-309", "1e-310", "1e-315", "1e-320"),
+    "5e-324",
+    "0",
+]
+
+
+@pytest.mark.parametrize("noise", [[], ["--sigma2", "0.5"]], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("wd", WD_TOWARD_ZERO)
+def test_weight_decay_toward_zero_reconstructs_or_exits_2(tmp_path, wd, noise):
+    out = tmp_path / "out"
+    argv = ["simulate", "--steps", "50", "--dim", "3", "--peak-base", "0.1", "--wd", wd]
+    code, lines, caught = _run([*argv, *noise, "--out", str(out)])
+    assert caught == []
+    if code == 0:
+        assert lines == []
+        summary = json.loads((out / "summary.json").read_text())
+        error = summary["reconstruction_relative_error"]
+        assert error is None if float(wd) == 0 else error <= 1e-9
+    else:
+        assert (code, len(lines)) == (2, 1)
+        assert lines[0].startswith("lrdual: domain error: ")
+        assert not out.exists()

@@ -63,7 +63,7 @@ class TestRationalSchedule:
         assert post.max() / post.min() == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_weight_decay_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match=r"weight_decay must be a number in \(0, inf\)"):
             rational_schedule(1.0, 0.0, 10)
 
     def test_peak_alpha_above_one_rejected(self):
@@ -179,7 +179,7 @@ class TestScheduleFromCoefficients:
         assert err.value.index == index
 
     def test_weight_decay_required_positive(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match=r"weight_decay must be a number in \(0, inf\)"):
             schedule_from_coefficients(TargetProfile(np.array([1.0])), 0.0)
 
     def test_lrs_are_alphas_over_weight_decay(self):

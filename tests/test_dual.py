@@ -239,9 +239,9 @@ class TestInitCoefficientApprox:
             assert abs(approx - exact) / exact <= 0.02
 
     def test_domain_checks(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             init_coefficient_approx(1.0, 10)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             init_coefficient_approx(-0.1, 10)
         with pytest.raises(ValidationError):
             init_coefficient_approx(0.1, 0)
@@ -260,9 +260,9 @@ class TestTimescale:
             timescale(1e-3, 0.0)
 
     def test_negative_inputs(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             timescale(-1e-3, 0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             timescale(1e-3, -0.1)
 
 

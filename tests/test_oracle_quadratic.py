@@ -50,10 +50,18 @@ class TestExpectedGap:
             sgd_quadratic_expected_gap(np.array([0.1, 2.5]), 1.0, 0.0, 1.0)
         sgd_quadratic_expected_gap(np.array([0.1, 0.5]), 1.0, 0.0, 1.0)
 
-    @pytest.mark.parametrize("bad", [2.0, -0.1, float("nan")])
-    def test_first_step_outside_zero_two_is_named(self, bad):
-        # lr * mu must stay in [0, 2): the boundary, a negative and nan all leave it
-        with pytest.raises(DomainError, match="unstable step size at step 3"):
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (2.0, DomainError, "unstable step size at step 3"),
+            (-0.1, ValidationError, "learning rate -0.1 at step 3"),
+            (float("nan"), ValidationError, "learning rate nan at step 3"),
+        ],
+    )
+    def test_first_step_outside_zero_two_is_named(self, bad, error, message):
+        # lr * mu must stay in [0, 2): the boundary is unstable, while a negative
+        # or nan learning rate is not a learning rate at all
+        with pytest.raises(error, match=message):
             sgd_quadratic_expected_gap(np.array([0.1, 1.9, bad, 3.0]), 1.0, 0.0, 1.0)
 
     def test_bound_dominates_exact_recursion(self):
@@ -108,12 +116,34 @@ class TestMonteCarlo:
     def test_chain_inputs_checked(self, gap, mu, noise_var_eff, d0):
         # both gaps share one check; the d0 error is not an allocation error
         lrs = np.full(5, 0.1)
-        with pytest.raises(DomainError, match="must be") as err:
+        with pytest.raises(ValidationError, match="must be") as err:
             if gap == "analytic":
                 sgd_quadratic_expected_gap(lrs, mu, noise_var_eff, d0)
             else:
                 sgd_monte_carlo_gap(lrs, mu, noise_var_eff, d0, trials=10, seed=0)
         assert "allocate" not in str(err.value)
+
+    @pytest.mark.parametrize("gap", ["analytic", "monte-carlo"])
+    @pytest.mark.parametrize(
+        "lrs, message",
+        [
+            (np.array([]), r"non-empty 1-D array, got shape \(0,\)"),
+            (np.full((2, 3), 0.1), r"non-empty 1-D array, got shape \(2, 3\)"),
+            (np.array(0.1), r"non-empty 1-D array, got shape \(\)"),
+            (np.array([0.1, -0.1]), "learning rate -0.1 at step 2"),
+            (np.array([0.1, np.inf]), "learning rate inf at step 2"),
+            (["0.1", "x"], "learning rates must be numbers"),
+        ],
+        ids=["empty", "2-d", "0-d", "negative", "infinite", "strings"],
+    )
+    def test_lr_array_checked(self, gap, lrs, message):
+        # the schedule layer's LR-array rule: no run happens on an empty array,
+        # and no bad shape escapes as a numpy error
+        with pytest.raises(ValidationError, match=message):
+            if gap == "analytic":
+                sgd_quadratic_expected_gap(lrs, 1.0, 1.0, 1.0)
+            else:
+                sgd_monte_carlo_gap(lrs, 1.0, 1.0, 1.0, trials=10, seed=0)
 
     def test_trials_too_large_to_allocate(self):
         with pytest.raises(DomainError, match="trials=100000000000000000000 is too large"):
