@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .designer import rational_schedule, schedule_from_coefficients
-from .dual import SmoothingSequence, coefficients_at, iter_coefficient_rows
+from .dual import SmoothingSequence, coefficients_at
 from .errors import DivergenceError, DomainError, LRDualError, ValidationError, check_count
 from .fileio import (
     columns_text,
@@ -199,9 +199,9 @@ def _write_manifest(args, argv, outputs: List[str]) -> None:
 
 def _cmd_schedule(args):
     spec = _spec_from_args(args)
-    out = _out_dir(args)
     lrs = lr_curve(spec)
-    write_schedule_csv(out / "schedule.csv", lrs, alpha_curve(lrs, args.wd))
+    alphas = alpha_curve(lrs, args.wd)
+    write_schedule_csv(_out_dir(args) / "schedule.csv", lrs, alphas)
     steps = np.arange(1, spec.total_steps + 1)
     style = dict(title="learning rate schedule", x_label="step", y_label="learning rate")
     return ["schedule.csv"], ("schedule.svg", [(spec.kind.value, steps, lrs)], style)
@@ -209,12 +209,9 @@ def _cmd_schedule(args):
 
 def _cmd_dual(args):
     spec = _spec_from_args(args)
-    out = _out_dir(args)
     seq = SmoothingSequence.from_lrs(lr_curve(spec), args.wd)
     if args.matrix:
-        write_coefficient_matrix_csv(
-            out / "coefficient_matrix.csv", iter_coefficient_rows(seq)
-        )
+        write_coefficient_matrix_csv(_out_dir(args) / "coefficient_matrix.csv", seq)
         return ["coefficient_matrix.csv"], None
     at = spec.total_steps if args.at_step is None else args.at_step
     if not 1 <= at <= spec.total_steps:
@@ -222,7 +219,7 @@ def _cmd_dual(args):
             f"--at-step {at} outside the schedule range 1..{spec.total_steps}"
         )
     coeffs = coefficients_at(SmoothingSequence(seq.alphas[: at + 1]))
-    write_coefficients_csv(out / "coefficients.csv", coeffs)
+    write_coefficients_csv(_out_dir(args) / "coefficients.csv", coeffs)
     series = [(f"{spec.kind.value} duals", np.arange(1, coeffs.t + 1), coeffs.c)]
     style = dict(
         title="update-combination coefficients",
@@ -234,11 +231,10 @@ def _cmd_dual(args):
 
 
 def _cmd_design(args):
-    out = _out_dir(args)
     profile = read_target_profile(Path(args.target))
     designed = schedule_from_coefficients(profile, args.wd)
     # the first row is the initial-weights pseudo-step with alpha = 1
-    write_schedule_csv(out / "designed_schedule.csv", designed.lrs, designed.alphas)
+    write_schedule_csv(_out_dir(args) / "designed_schedule.csv", designed.lrs, designed.alphas)
     idx = np.arange(1, len(designed.alphas) + 1)
     style = dict(title="designed schedule", x_label="step", y_label="learning rate")
     series = [("designed", idx, designed.lrs)]
@@ -246,9 +242,8 @@ def _cmd_design(args):
 
 
 def _cmd_rational(args):
-    out = _out_dir(args)
     lrs = rational_schedule(args.peak, args.wd, args.steps, args.warmup)
-    write_schedule_csv(out / "rational_schedule.csv", lrs, lrs * args.wd)
+    write_schedule_csv(_out_dir(args) / "rational_schedule.csv", lrs, lrs * args.wd)
     steps = np.arange(1, args.steps + 1)
     style = dict(title="rational schedule", x_label="step", y_label="learning rate")
     return ["rational_schedule.csv"], ("rational.svg", [("rational", steps, lrs)], style)
@@ -313,7 +308,6 @@ def _cmd_simulate(args):
 
 def _cmd_sweep(args):
     check_count("--jobs", args.jobs)
-    out = _out_dir(args)
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             document = json.load(fh)
@@ -321,6 +315,7 @@ def _cmd_sweep(args):
             raise ValidationError(f"malformed JSON in {args.config}: {exc}") from exc
     grid = SweepGrid.from_mapping(document)
     results = run_noise_sweep(grid, mode=args.mode, seed=args.seed)
+    out = _out_dir(args)
     write_sweep_csv(out / "sweep.csv", results)
     echo = dataclasses.asdict(grid)
     echo.update({"mode": args.mode, "base_seed": args.seed})

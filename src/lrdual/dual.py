@@ -15,16 +15,19 @@ they stop being meaningful, so all products are accumulated as sums of logs
 in extended precision, with exact zeros (alpha == 0 inputs, alpha == 1
 resets) tracked separately instead of clamped.
 
-The log tables and every row are built in place: the final row costs about
-four doubles per input (two for the ``longdouble`` prefix sums, one each for
-``log(alpha)`` and the row), and each streamed row costs O(t) with no index
-arrays.
+The whole lower-triangular table is fixed by two O(n) vectors, ``log(alpha)``
+and the prefix sums of ``log(1 - alpha)`` (:class:`LogTables`); every row is
+built from them in place. The final row costs about four doubles per input
+(two for the ``longdouble`` prefix sums, one each for ``log(alpha)`` and the
+row), and each streamed row costs O(t) with no index arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -34,6 +37,8 @@ from .schedules import alpha_curve
 __all__ = [
     "SmoothingSequence",
     "DualCoefficients",
+    "LogTables",
+    "log_tables",
     "coefficients_at",
     "iter_coefficient_rows",
     "init_coefficient",
@@ -102,14 +107,28 @@ def materialize_log_coefficients(log_c: np.ndarray) -> np.ndarray:
 _CUMSUM_BLOCK = 64
 
 
-def _log_tables(seq: SmoothingSequence):
-    """Prefix sums of log(1 - alpha_j) over j >= 2, with reset positions.
+class LogTables(NamedTuple):
+    """The O(n) generators of the whole coefficient table.
 
-    Returns ``(log_alpha, prefix, resets)`` where ``prefix[k]`` is the
-    extended-precision sum of ``log1p(-alpha_j)`` for inputs 2..k+1 and
-    ``resets`` holds the sorted 0-based positions of the ``alpha == 1``
-    inputs, position 0 (the initial input) included. A reset contributes a
-    zero term to ``prefix``; :func:`_row` turns it into exact zeros instead.
+    ``log_alpha[k]`` is ``log(alpha_{k+1})`` in float64. ``prefix[k]`` is the
+    ``longdouble`` sum of ``log1p(-alpha_j)`` over inputs ``j = 2..k+1``, a
+    reset contributing a zero term. ``resets`` holds the sorted 0-based
+    positions of the ``alpha == 1`` inputs (those with ``log_alpha == 0``),
+    position 0 included. Row ``t`` is then
+    ``log c_{t,i} = float64(prefix[t-1] - prefix[i-1]) + log_alpha[i-1]`` for
+    ``i`` from the last reset at or before ``t``, and ``-inf`` before it.
+    """
+
+    log_alpha: np.ndarray
+    prefix: np.ndarray
+    resets: np.ndarray
+
+
+def log_tables(seq: SmoothingSequence) -> LogTables:
+    """The generators of ``seq``'s coefficient table (see :class:`LogTables`).
+
+    A reset's zero term in ``prefix`` stands in for ``log(0)``; :func:`_row`
+    writes the exact zeros it implies.
 
     The prefix is summed within 64-term blocks and only block totals are
     carried: plain sequential summation of n terms leaves O(n * ulp(total))
@@ -131,7 +150,7 @@ def _log_tables(seq: SmoothingSequence):
     np.cumsum(blocks, axis=1, out=blocks)
     if len(blocks) > 1:
         blocks[1:] += np.cumsum(blocks[:-1, -1])[:, None]
-    return log_alpha, buf[: n + 1], resets
+    return LogTables(log_alpha, buf[: n + 1], resets)
 
 
 def _row(log_alpha: np.ndarray, prefix: np.ndarray, resets: np.ndarray, t: int) -> np.ndarray:
@@ -147,20 +166,21 @@ def _row(log_alpha: np.ndarray, prefix: np.ndarray, resets: np.ndarray, t: int) 
 def coefficients_at(alphas: SmoothingSequence) -> DualCoefficients:
     """Coefficients of every input at the final step ``t = len(alphas)``."""
     t = len(alphas)
-    log_alpha, prefix, resets = _log_tables(alphas)
-    return DualCoefficients(t=t, log_c=_row(log_alpha, prefix, resets, t))
+    return DualCoefficients(t=t, log_c=_row(*log_tables(alphas), t))
 
 
-def iter_coefficient_rows(alphas: SmoothingSequence):
+def iter_coefficient_rows(alphas: Union[SmoothingSequence, LogTables]):
     """Yield the log-coefficient row of every step ``t = 1..len(alphas)``.
 
-    Row ``t`` has length ``t`` and is a fresh array; streaming keeps
-    full-table exports linear in memory. The last row is bit-identical to
+    ``alphas`` is a smoothing sequence or the :class:`LogTables` it generates,
+    such as :func:`lrdual.fileio.read_coefficient_matrix` decodes from a file.
+    Row ``t`` has length ``t`` and is a fresh array; streaming keeps memory
+    O(t) per row. The last row is bit-identical to
     ``coefficients_at(alphas).log_c``.
     """
-    log_alpha, prefix, resets = _log_tables(alphas)
-    for t in range(1, len(alphas) + 1):
-        yield _row(log_alpha, prefix, resets, t)
+    tables = alphas if isinstance(alphas, LogTables) else log_tables(alphas)
+    for t in range(1, len(tables.log_alpha) + 1):
+        yield _row(*tables, t)
 
 
 def init_coefficient(alphas: SmoothingSequence) -> float:
@@ -179,10 +199,21 @@ def init_coefficient_approx(avg_alpha: float, t: int) -> float:
 
 
 def timescale(lr: float, weight_decay: float) -> float:
-    """Averaging window ``1 / (lr * weight_decay)`` in steps."""
+    """Averaging window ``1 / (lr * weight_decay)`` in steps.
+
+    A product ``lr * weight_decay`` that underflows to zero or overflows, or
+    whose reciprocal overflows, raises :class:`DomainError`: no double holds
+    the window.
+    """
     weight_decay = check_real("weight_decay", weight_decay)
     if weight_decay == 0:
         raise InfiniteTimescaleError(
             "weight_decay is zero: the averaging timescale is infinite"
         )
-    return 1.0 / (check_real("lr", lr, bounds="()") * weight_decay)
+    rate = check_real("lr", lr, bounds="()") * weight_decay
+    if not 0.0 < rate < math.inf or 1.0 / rate == math.inf:
+        raise DomainError(
+            f"lr * weight_decay = {rate!r}: its reciprocal, the timescale, "
+            "is outside the float range"
+        )
+    return 1.0 / rate

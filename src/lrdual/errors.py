@@ -61,13 +61,17 @@ class NonFiniteGradientError(DivergenceError):
 def check_count(name: str, value: object, minimum: int = 1) -> None:
     """Refuse ``value`` unless it is an integer of at least ``minimum``.
 
-    Python and numpy integers pass; bools, floats and strings do not.
+    Python and numpy integers pass; bools, floats, strings and ints past the
+    float range (from ``2**1024``) do not.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         wanted = {0: "a non-negative integer", 1: "a positive integer"}
         raise ValidationError(
-            f"{name} must be {wanted.get(minimum, f'an integer >= {minimum}')}, got {value!r}"
+            f"{name} must be {wanted.get(minimum, f'an integer >= {minimum}')}, "
+            f"got {reprlib.repr(value)}"
         )
+    if value >= 2**1024:  # past the float range, and counts are used as doubles
+        raise ValidationError(f"{name} must be below 2**1024, got {reprlib.repr(value)}")
 
 
 def check_real(

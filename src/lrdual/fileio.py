@@ -16,7 +16,13 @@ from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
 import numpy as np
 
 from .designer import TargetProfile
-from .dual import DualCoefficients, LOG_FLUSH_THRESHOLD
+from .dual import (
+    DualCoefficients,
+    LogTables,
+    SmoothingSequence,
+    iter_coefficient_rows,
+    log_tables,
+)
 from .errors import DomainError, ValidationError
 from .oracle.sweep import SweepCellResult
 from .scaling import PowerLawFit
@@ -30,6 +36,7 @@ __all__ = [
     "write_schedule_csv",
     "write_coefficients_csv",
     "write_coefficient_matrix_csv",
+    "read_coefficient_matrix",
     "write_sweep_csv",
     "write_fit_json",
     "read_target_profile",
@@ -108,21 +115,73 @@ def write_coefficients_csv(path: Path, coeffs: DualCoefficients) -> None:
     write_text_file(path, columns_text("i,c,log_c", coeffs.c, coeffs.log_c))
 
 
-def write_coefficient_matrix_csv(path: Path, log_rows) -> None:
-    """Sparse ``t,i,log_c`` triplets of the lower-triangular coefficient table.
+_MATRIX_COLUMNS = "i,log_alpha,prefix_hi,prefix_lo"
+_MATRIX_HEADER = (
+    "# log c_{t,i} = float64(P_t - P_i) + log_alpha_i for i from the last reset "
+    "(the last log_alpha == 0 at or before t), -inf before it; "
+    "P = prefix_hi + prefix_lo in extended precision\n" + _MATRIX_COLUMNS
+)
 
-    ``log_rows`` is an iterable of log-coefficient rows, row ``t`` covering
-    inputs ``1..t``, such as :func:`lrdual.dual.iter_coefficient_rows`.
+
+def write_coefficient_matrix_csv(path: Path, alphas: SmoothingSequence) -> None:
+    """The lower-triangular coefficient table as its generators, one row per input.
+
+    Rows ``i,log_alpha,prefix_hi,prefix_lo`` hold :func:`lrdual.dual.log_tables`:
+    ``prefix_hi`` is the float64 rounding of the ``longdouble`` prefix ``P_i``
+    and ``prefix_lo`` the float64 of ``P_i - prefix_hi``. Their sum is ``P_i``
+    exactly where ``longdouble`` is x87 80-bit or float64; where it is IEEE
+    quad the pair holds 106 of its 113 bits. A leading ``#`` line states how
+    to rebuild row ``t``; :func:`read_coefficient_matrix` does it.
     """
+    tables = log_tables(alphas)
+    hi = tables.prefix.astype(np.float64)
+    lo = np.empty_like(hi)
+    # the difference is taken in longdouble and rounded once into lo
+    np.subtract(tables.prefix, hi, out=lo, casting="same_kind")
+    write_text_file(path, columns_text(_MATRIX_HEADER, tables.log_alpha, hi, lo))
 
-    def chunks():
-        yield f"# rows with log_c < {int(LOG_FLUSH_THRESHOLD)} omitted\nt,i,log_c\n"
-        for t, row in enumerate(log_rows, start=1):
-            kept = np.flatnonzero(row >= LOG_FLUSH_THRESHOLD)
-            line = f"{t},{{}},{{:.17g}}\n".format
-            yield "".join(map(line, (kept + 1).tolist(), row[kept].tolist()))
 
-    write_text_file(path, chunks())
+def _matrix_rows(path: Path) -> Iterator[Tuple[float, float, float]]:
+    """The checked ``(log_alpha, prefix_hi, prefix_lo)`` of each data line."""
+    lines = _content_lines(path)
+    lineno, header = next(lines, (0, _MATRIX_COLUMNS))
+    if header != _MATRIX_COLUMNS:
+        raise ValidationError(f"{path}:{lineno}: expected the header {_MATRIX_COLUMNS!r}")
+    i = 0
+    for i, (lineno, line) in enumerate(lines, start=1):
+        fields = line.split(",")
+        try:
+            if len(fields) != 4 or int(fields[0]) != i:
+                raise ValueError(f"expected 4 fields starting with i = {i}")
+            a, high, low = map(float, fields[1:])
+            if not (a <= 0.0 and math.isfinite(high) and math.isfinite(low)):
+                raise ValueError("log_alpha must be at most 0 and the prefix finite")
+            if i == 1 and a != 0.0:
+                raise ValueError("log_alpha_1 must be 0")
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}: {line!r}") from None
+        yield a, high, low
+    if not i:
+        raise ValidationError(f"{path}: no data rows")
+
+
+def read_coefficient_matrix(path: Path) -> Iterator[np.ndarray]:
+    """The rows ``t = 1..n`` of the table a :func:`write_coefficient_matrix_csv` file generates.
+
+    The file is read and checked whole before the first row, which is then
+    bit for bit :func:`lrdual.dual.iter_coefficient_rows` of the sequence
+    that wrote it (where the prefix pair is exact, see the writer); each row
+    costs O(t). A bad header, an ``i`` that does not count 1, 2, ..., a
+    field that is not a number, a NaN, a positive ``log_alpha``, a first
+    ``log_alpha`` other than 0 or a non-finite prefix raises
+    :class:`ValidationError` naming the path and line.
+    """
+    table = np.fromiter(_matrix_rows(path), dtype=np.dtype((np.float64, 3)))
+    log_alpha = table[:, 0]
+    prefix = table[:, 1].astype(np.longdouble)
+    prefix += table[:, 2]
+    resets = np.flatnonzero(log_alpha == 0.0)
+    return iter_coefficient_rows(LogTables(log_alpha, prefix, resets))
 
 
 _SWEEP_COLUMNS = (

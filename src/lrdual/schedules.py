@@ -72,7 +72,9 @@ def _snap_ceil(x: float) -> int:
 
 def steps_from_fraction(fraction: float, total_steps: int) -> int:
     """Convert a fraction of the run (e.g. warmup 0.1) into a step count."""
-    return _snap_floor(check_real("fraction", fraction, 0.0, 1.0) * total_steps)
+    fraction = check_real("fraction", fraction, 0.0, 1.0)
+    check_count("total_steps", total_steps)
+    return _snap_floor(fraction * total_steps)
 
 
 def step_array(total_steps: int) -> np.ndarray:

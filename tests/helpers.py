@@ -1,5 +1,5 @@
-"""Shared test helpers: randomized schedule specs, out-of-place references and
-the environment of a child ``python`` process."""
+"""Shared test helpers: randomized schedule specs and smoothing sequences,
+out-of-place references and the environment of a child ``python`` process."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from lrdual import ScheduleKind, ScheduleSpec
 from lrdual.schedules import _snap_ceil
@@ -54,6 +55,62 @@ def random_spec_and_wd(rng: np.random.Generator, max_steps: int = 5000, alpha_ca
         kind_params=params,
     )
     return spec, wd
+
+
+@st.composite
+def specs(draw, kinds=tuple(ScheduleKind)):
+    kind = draw(st.sampled_from(kinds))
+    total = draw(st.integers(min_value=2, max_value=300))
+    # warmup stays below the step-kind milestone so every kind validates
+    warmup = draw(st.integers(min_value=0, max_value=total // 2))
+    peak_base = draw(st.floats(min_value=1e-4, max_value=1.0))
+    rho = draw(st.sampled_from([1.0, 0.5, 0.125]))
+    ratio = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    params = {}
+    if kind is ScheduleKind.CYCLIC:
+        params = {"period_steps": draw(st.integers(min_value=2, max_value=total + 3))}
+    elif kind is ScheduleKind.RATIONAL:
+        params = {"weight_decay": draw(st.floats(min_value=0.01, max_value=1.0))}
+    elif kind is ScheduleKind.PIECEWISE:
+        n = total - max(warmup, 1)
+        mult = draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n
+            )
+        )
+        params = {"multipliers": tuple(mult)}
+    return ScheduleSpec(
+        kind=kind,
+        total_steps=total,
+        peak_base_lr=peak_base,
+        warmup_steps=warmup,
+        mup_factor=rho,
+        decay_ratio=ratio,
+        kind_params=params,
+    )
+
+
+def edge_alphas(n, seed, variant="mixed"):
+    """``n`` seeded inputs with alpha = 0, interior resets and alpha a few ulps below 1.
+
+    ``variant`` "last_reset" ends on a reset; "leading_zeros" opens with a run
+    of alpha = 0 inputs across the first 64-term block edge.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 0.9, n)
+    a[rng.uniform(size=n) < 0.05] = 0.0
+    a[rng.uniform(size=n) < 0.02] = 1.0
+    if n > 4:
+        a[1] = 0.0
+        a[n // 2] = 1.0
+        a[n // 3 + 1] = 1.0 - 3 * np.finfo(np.float64).epsneg
+        a[2 * n // 3 + 1] = 1.0 - np.finfo(np.float64).epsneg
+    if variant == "last_reset":
+        a[-1] = 1.0
+    elif variant == "leading_zeros":
+        a[1:70] = 0.0
+    a[0] = 1.0
+    return a
 
 
 # -- out-of-place references ----------------------------------------------------

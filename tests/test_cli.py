@@ -8,6 +8,7 @@ import pytest
 
 import lrdual.schedules
 from lrdual.cli import main
+from lrdual.fileio import read_coefficient_matrix
 
 
 def run(tmp_path, *argv):
@@ -158,17 +159,34 @@ class TestDual:
         assert (tmp_path / "dual.svg").exists()
 
     def test_matrix_export(self, tmp_path):
-        code = run(
-            tmp_path,
-            "dual", "--kind", "linear", "--ratio", "0.1", "--steps", "6",
-            "--warmup", "1", "--peak-base", "0.1", "--wd", "0.5", "--matrix",
-        )
-        assert code == 0
+        flags = [
+            "--kind", "linear", "--ratio", "0.1", "--steps", "6",
+            "--warmup", "1", "--peak-base", "0.1", "--wd", "0.5",
+        ]
+        assert run(tmp_path, "dual", *flags, "--matrix") == 0
+        path = tmp_path / "coefficient_matrix.csv"
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("# log c_{t,i} = float64(P_t - P_i) + log_alpha_i ")
+        assert lines[1] == "i,log_alpha,prefix_hi,prefix_lo"
+        # 7 inputs, one generator row each
+        assert [line.split(",")[0] for line in lines[2:]] == [str(i) for i in range(1, 8)]
+        # each rebuilt row is the log_c column that --at-step writes for its step
+        for t, row in enumerate(read_coefficient_matrix(path), start=1):
+            if t == 1:
+                assert row.tolist() == [0.0]
+                continue
+            out = tmp_path / f"at{t - 1}"
+            assert run(out, "dual", *flags, "--at-step", str(t - 1)) == 0
+            _, rows = read_rows(out / "coefficients.csv")
+            assert row.tolist() == [float(r[2]) for r in rows]
+
+    @pytest.mark.parametrize("steps", [1, 2, 64, 65, 1000])
+    def test_matrix_is_one_row_per_input(self, tmp_path, steps):
+        # the table's generators, not its (T + 1)(T + 2) / 2 entries
+        assert run(tmp_path, "dual", "--steps", str(steps), "--matrix") == 0
         lines = (tmp_path / "coefficient_matrix.csv").read_text().splitlines()
-        assert lines[0].startswith("#")
-        assert lines[1] == "t,i,log_c"
-        # 7 inputs, all alphas positive -> full lower triangle present
-        assert len(lines) - 2 == 7 * 8 // 2
+        data = [line for line in lines if not line.startswith("#")][1:]
+        assert len(data) == steps + 1
 
     def test_at_step_range_checked(self, tmp_path):
         code = run(
@@ -834,3 +852,26 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, case):
         summary = (out / "summary.json").read_text()
         assert '"reconstruction_relative_error": null' in summary
         assert json.loads(summary)["reconstruction_relative_error"] is None
+
+
+# A refused input on a fresh --out path: each command checks its inputs
+# before it creates the directory.
+REFUSED_CASES = {
+    "schedule": ["schedule", "--steps", "5", "--peak-base", "20"],
+    "dual": ["dual", "--steps", "5", "--peak-base", "20"],
+    "design": ["design", "--target", "{profile}"],
+    "rational": ["rational", "--peak", "20", "--steps", "5"],
+    "sweep": ["sweep", "--config", "{grid}"],
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_CASES))
+def test_refused_input_leaves_no_out_directory(tmp_path, capsys, case):
+    profile, grid = tmp_path / "profile.csv", tmp_path / "grid.json"
+    profile.write_text("i,c\n1,0.9\n2,0.9\n")  # sums to 1.8
+    grid.write_text(json.dumps({k: v for k, v in TestSweep.CONFIG.items() if k != "peak_lrs"}))
+    out = tmp_path / "fresh" / "out"
+    argv = [arg.format(profile=profile, grid=grid) for arg in REFUSED_CASES[case]]
+    assert main([*argv, "--out", str(out)]) in (1, 2)
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "fresh").exists()

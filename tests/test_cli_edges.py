@@ -12,9 +12,11 @@ Two flags get their own sweeps: ``--wd`` outside its range exits 1 on every
 command that takes it, and ``simulate`` either reconstructs its parameters
 or exits 2 at every weight decay from 1 down to 0.
 
-The huge int values are 2**63 and 2**64, so no case allocates or runs that
-long: numpy refuses 2**64 entries outright, and a step count of 2**63, which
-numpy's ``arange`` would wrap to an empty array, is refused by ``step_array``.
+The huge int values are 2**63, 2**64 and 10**400, so no case allocates or
+runs that long: numpy refuses 2**64 entries outright, a step count of 2**63,
+which numpy's ``arange`` would wrap to an empty array, is refused by
+``step_array``, and a count past the float range is refused by
+``check_count``.
 """
 
 import contextlib
@@ -125,7 +127,7 @@ def test_float_flag_edges(tmp_path, monkeypatch, command, kind):
     assert _edge_failures(tmp_path, monkeypatch, base, flags, EDGES) == []
 
 
-INT_EDGES = ("0", "-1", "1", "2", "3", str(2**63), str(2**64), "1e3", "x")
+INT_EDGES = ("0", "-1", "1", "2", "3", str(2**63), str(2**64), str(10**400), "1e3", "x")
 
 # Each command with the kind whose int flags it exercises, and those flags.
 INT_CASES = [

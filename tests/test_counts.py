@@ -67,6 +67,17 @@ def test_counts_refuse_bools_and_accept_numpy_integers(count):
         (2.0, 1, "n must be a positive integer, got 2.0"),
         ("3", 1, "n must be a positive integer, got '3'"),
         (True, 1, "n must be a positive integer, got True"),
+        # counts are used as doubles, so one past the float range is refused
+        pytest.param(
+            2**1024, 1, "n must be below 2**1024, got 179769313486231590...5356329624224137216",
+            id="2**1024",
+        ),
+        pytest.param(
+            -(10**400),
+            0,
+            "n must be a non-negative integer, got -10000000000000000...0000000000000000000",
+            id="-10**400",
+        ),
     ],
 )
 def test_check_count_names_the_minimum(value, minimum, message):

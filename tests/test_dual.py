@@ -23,34 +23,11 @@ from lrdual import (
 )
 from lrdual.dual import materialize_log_coefficients
 
-from helpers import reference_log_tables, reference_row
+from helpers import edge_alphas, reference_log_tables, reference_row
 
 
 def seq(*alphas):
     return SmoothingSequence(np.array(alphas, dtype=np.float64))
-
-
-def edge_alphas(n, seed, variant="mixed"):
-    """``n`` seeded inputs with alpha = 0, interior resets and alpha a few ulps below 1.
-
-    ``variant`` "last_reset" ends on a reset; "leading_zeros" opens with a run
-    of alpha = 0 inputs across the first 64-term block edge.
-    """
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(0.0, 0.9, n)
-    a[rng.uniform(size=n) < 0.05] = 0.0
-    a[rng.uniform(size=n) < 0.02] = 1.0
-    if n > 4:
-        a[1] = 0.0
-        a[n // 2] = 1.0
-        a[n // 3 + 1] = 1.0 - 3 * np.finfo(np.float64).epsneg
-        a[2 * n // 3 + 1] = 1.0 - np.finfo(np.float64).epsneg
-    if variant == "last_reset":
-        a[-1] = 1.0
-    elif variant == "leading_zeros":
-        a[1:70] = 0.0
-    a[0] = 1.0
-    return a
 
 
 class TestSmoothingSequence:
@@ -264,6 +241,25 @@ class TestTimescale:
             timescale(-1e-3, 0.1)
         with pytest.raises(ValidationError):
             timescale(1e-3, -0.1)
+
+    @pytest.mark.parametrize(
+        "lr, weight_decay",
+        [
+            (1e-200, 1e-200),  # the product underflows to 0
+            (1e-160, 1e-160),  # 1e-320 is subnormal and its reciprocal overflows
+            (5e-324, 1.0),
+            (1e300, 1e10),  # the product overflows
+        ],
+    )
+    def test_window_outside_the_float_range_is_a_domain_error(self, lr, weight_decay):
+        with pytest.raises(DomainError, match="the timescale, is outside the float range"):
+            timescale(lr, weight_decay)
+
+    def test_smallest_product_with_a_finite_window(self):
+        # 1 / 2**-1024 = 2**1024 overflows; 1 / 2**-1023 is the largest power of two
+        assert timescale(2.0**-1023, 1.0) == 2.0**1023
+        with pytest.raises(DomainError):
+            timescale(2.0**-1024, 1.0)
 
 
 class TestFlattening:

@@ -2,12 +2,15 @@
 
 import ast
 import re
+import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lrdual
 from lrdual import (
@@ -16,6 +19,7 @@ from lrdual import (
     ValidationError,
     coefficients_at,
     iter_coefficient_rows,
+    lr_curve,
 )
 from lrdual.dual import DualCoefficients
 from lrdual.fileio import (
@@ -23,6 +27,7 @@ from lrdual.fileio import (
     float_json_text,
     fmt17,
     json_text,
+    read_coefficient_matrix,
     read_multipliers,
     read_points,
     read_target_profile,
@@ -32,6 +37,8 @@ from lrdual.fileio import (
     write_schedule_csv,
     write_text_file,
 )
+
+from helpers import edge_alphas, reference_log_tables, specs
 
 
 class TestFmt17:
@@ -160,6 +167,21 @@ class TestStreamedMemory:
         assert traced_peak(read_target_profile, path) < 8e6
 
 
+MATRIX_HEADER = (
+    "# log c_{t,i} = float64(P_t - P_i) + log_alpha_i for i from the last reset "
+    "(the last log_alpha == 0 at or before t), -inf before it; "
+    "P = prefix_hi + prefix_lo in extended precision\n"
+    "i,log_alpha,prefix_hi,prefix_lo\n"
+)
+
+
+def assert_round_trip(path, seq):
+    """``path`` reads back every row of ``seq`` bit for bit, sign of zero included."""
+    rows = read_coefficient_matrix(path)
+    for t, (got, want) in enumerate(zip(rows, iter_coefficient_rows(seq), strict=True), 1):
+        assert got.tobytes() == want.tobytes(), t
+
+
 class TestCoefficientsCsv:
     def test_zero_coefficient_serializes(self, tmp_path):
         coeffs = coefficients_at(SmoothingSequence(np.array([1.0, 0.0, 0.5])))
@@ -170,38 +192,98 @@ class TestCoefficientsCsv:
         i, c, log_c = rows[2].split(",")
         assert (i, float(c), float(log_c)) == ("2", 0.0, float("-inf"))
 
-    def test_matrix_sparse_omits_underflow(self, tmp_path):
-        # log(1 - 0.999) ~ -6.9, so inputs 108 or more steps back fall below -745
-        alphas = SmoothingSequence(np.concatenate([[1.0], np.full(300, 0.999)]))
-        path = tmp_path / "matrix.csv"
-        write_coefficient_matrix_csv(path, iter_coefficient_rows(alphas))
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("#")
-        assert lines[1] == "t,i,log_c"
-        data = [line.split(",") for line in lines[2:]]
-        assert all(float(log_c) >= -745.0 for _, _, log_c in data)
-        # early inputs of late rows underflow and must be absent
-        last_row = [(int(t), int(i)) for t, i, _ in data if int(t) == 301]
-        assert (301, 1) not in last_row
-        assert (301, 301) in last_row
-
     def test_matrix_bytes_match_per_element_reference(self, tmp_path):
         # exact resets (alpha = 1), alpha = 0 inputs and flushed tails
         alphas = np.concatenate([[1.0], np.full(150, 0.999), [0.0, 0.0, 1.0, 0.3, 0.0, 1.0]])
         alphas = np.concatenate([alphas, np.random.default_rng(5).uniform(0.0, 1.0, 40)])
         seq = SmoothingSequence(alphas)
         path = tmp_path / "matrix.csv"
-        write_coefficient_matrix_csv(path, iter_coefficient_rows(seq))
-        expected = ["# rows with log_c < -745 omitted\n", "t,i,log_c\n"]
-        for t, row in enumerate(iter_coefficient_rows(seq), start=1):
-            for i, value in enumerate(row[:t], start=1):
-                if value >= -745.0:
-                    expected.append(f"{t},{i},{fmt17(value)}\n")
+        write_coefficient_matrix_csv(path, seq)
+        log_alpha, prefix, _ = reference_log_tables(alphas)
+        expected = [MATRIX_HEADER]
+        for i, (a, p) in enumerate(zip(log_alpha, prefix), start=1):
+            hi = float(p)
+            lo = float(p - np.longdouble(hi))
+            expected.append(f"{i},{fmt17(a)},{fmt17(hi)},{fmt17(lo)}\n")
         text = path.read_text()
         assert text == "".join(expected)
-        assert "\n152,152," not in text and "\n152,151," in text  # alpha = 0 input
-        assert "\n154,153," not in text and "\n154,154,0\n" in text  # exact reset
-        assert "\n151,1," not in text and "\n151,151," in text  # flushed tail
+        assert "\n152,-inf," in text  # alpha = 0 input
+        assert "\n154,0," in text  # exact reset
+        assert len(text.splitlines()) == 2 + len(alphas)
+
+
+class TestCoefficientMatrix:
+    """``coefficient_matrix.csv`` holds the table's O(n) generators, and reads back whole."""
+
+    def test_round_trip_keeps_flushed_tails(self, tmp_path):
+        # log(1 - 0.999) ~ -6.9, so inputs 108 or more steps back fall below -745;
+        # they are no longer dropped, and read back as the rows hold them
+        seq = SmoothingSequence(np.concatenate([[1.0], np.full(300, 0.999)]))
+        path = tmp_path / "matrix.csv"
+        write_coefficient_matrix_csv(path, seq)
+        *_, last = read_coefficient_matrix(path)
+        assert len(last) == 301 and last[0] < -745.0
+        assert_round_trip(path, seq)
+
+    @pytest.mark.parametrize("variant", ["mixed", "last_reset", "leading_zeros"])
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 66, 129, 4097])
+    def test_reader_is_bit_for_bit_the_row_generator(self, tmp_path, n, variant):
+        seq = SmoothingSequence(edge_alphas(n, seed=n, variant=variant))
+        path = tmp_path / "matrix.csv"
+        write_coefficient_matrix_csv(path, seq)
+        assert_round_trip(path, seq)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=specs(), share=st.floats(min_value=0.0, max_value=1.0))
+    def test_reader_round_trips_random_schedules(self, spec, share):
+        # weight decays from 0 up to the one that puts the peak alpha at 1
+        seq = SmoothingSequence.from_lrs(lr_curve(spec), share / spec.peak_lr)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "matrix.csv"
+            write_coefficient_matrix_csv(path, seq)
+            assert_round_trip(path, seq)
+
+    GOOD = "i,log_alpha,prefix_hi,prefix_lo\n1,0,0,0\n2,-1,-0.5,1e-20\n"
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("t,i,log_c\n1,1,0\n", 1),  # the old triplet format
+            ("# note\ni,log_alpha,prefix_hi\n1,0,0\n", 2),
+            (GOOD + "4,-1,-1,0\n", 4),  # i skips 3
+            (GOOD + "2,-1,-1,0\n", 4),  # i repeats
+            (GOOD + "3,-1,-1\n", 4),  # a field missing
+            (GOOD + "3.0,-1,-1,0\n", 4),
+            (GOOD + "3,x,-1,0\n", 4),
+            (GOOD + "3,nan,-1,0\n", 4),
+            (GOOD + "3,-1,nan,0\n", 4),
+            (GOOD + "3,-1,-1,nan\n", 4),
+            (GOOD + "3,0.5,-1,0\n", 4),  # a positive log_alpha
+            (GOOD + "3,inf,-1,0\n", 4),
+            (GOOD + "3,-1,-inf,0\n", 4),  # a non-finite prefix
+            (GOOD + "3,-1,-1,inf\n", 4),
+            ("i,log_alpha,prefix_hi,prefix_lo\n1,-0.5,0,0\n", 2),  # log_alpha_1 != 0
+            ("i,log_alpha,prefix_hi,prefix_lo\n2,0,0,0\n", 2),  # i starts past 1
+        ],
+    )
+    def test_malformed_file_is_one_validation_error_at_its_line(self, tmp_path, text, line):
+        path = tmp_path / "matrix.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:{line}: "):
+            read_coefficient_matrix(path)
+
+    @pytest.mark.parametrize("text", ["", "# only a note\n", "i,log_alpha,prefix_hi,prefix_lo\n"])
+    def test_file_without_rows_is_refused(self, tmp_path, text):
+        path = tmp_path / "matrix.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="no data rows"):
+            read_coefficient_matrix(path)
+
+    def test_good_file_reads(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_text(self.GOOD)
+        rows = [r.tolist() for r in read_coefficient_matrix(path)]
+        assert rows == [[0.0], [-0.5, -1.0]]
 
 
 class TestReaders:

@@ -4,12 +4,14 @@ numpy reports every data buffer to tracemalloc, so the traced peak of a call
 is the sum of the arrays it holds at once; budgets are in doubles per input.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from lrdual import ScheduleKind, ScheduleSpec, SmoothingSequence, coefficients_at, lr_curve
+from lrdual.fileio import read_coefficient_matrix, write_coefficient_matrix_csv
 
 N = 100_000
 
@@ -29,13 +31,37 @@ def traced_peak(fn, *args):
             tracemalloc.stop()
 
 
-def test_coefficients_at_holds_five_doubles_per_input():
+def edge_sequence():
+    """N small smoothing values with an interior reset."""
     rng = np.random.default_rng(0)
     alphas = rng.uniform(1e-5, 1e-3, N)
     alphas[0] = 1.0
     alphas[N // 2] = 1.0
-    seq = SmoothingSequence(alphas)
-    assert traced_peak(coefficients_at, seq) <= 5 * 8 * N
+    return SmoothingSequence(alphas)
+
+
+def test_coefficients_at_holds_five_doubles_per_input():
+    assert traced_peak(coefficients_at, edge_sequence()) <= 5 * 8 * N
+
+
+def test_matrix_writer_holds_seven_doubles_per_input(tmp_path):
+    # the tables (log alpha, a longdouble prefix), the prefix as a float64
+    # pair and one formatting block; the table's O(n^2) entries never exist
+    path = tmp_path / "coefficient_matrix.csv"
+    assert traced_peak(write_coefficient_matrix_csv, path, edge_sequence()) <= 7 * 8 * N
+
+
+def test_matrix_reader_holds_six_doubles_per_input(tmp_path):
+    # three parsed columns, then log alpha and the longdouble prefix; each
+    # row is O(t) on top
+    path = tmp_path / "coefficient_matrix.csv"
+    write_coefficient_matrix_csv(path, edge_sequence())
+
+    def read_first_rows():
+        rows = read_coefficient_matrix(path)
+        assert [len(row) for row in itertools.islice(rows, 3)] == [1, 2, 3]
+
+    assert traced_peak(read_first_rows) <= 6 * 8 * N
 
 
 def test_smoothing_from_lrs_holds_two_and_a_half_doubles_per_step():

@@ -22,7 +22,7 @@ from lrdual import (
 from lrdual.oracle import AdamWConfig, QuadraticProblem, order_fit_probe, stream, train
 from lrdual.schedules import step_array
 
-from helpers import reference_lr_curve
+from helpers import reference_lr_curve, specs
 
 
 def linear(total, warmup, peak_base=1.0, rho=1.0, ratio=0.0):
@@ -424,39 +424,6 @@ class TestValidation:
 
 
 # -- hypothesis-driven invariants ------------------------------------------------
-
-
-@st.composite
-def specs(draw, kinds=tuple(ScheduleKind)):
-    kind = draw(st.sampled_from(kinds))
-    total = draw(st.integers(min_value=2, max_value=300))
-    # warmup stays below the step-kind milestone so every kind validates
-    warmup = draw(st.integers(min_value=0, max_value=total // 2))
-    peak_base = draw(st.floats(min_value=1e-4, max_value=1.0))
-    rho = draw(st.sampled_from([1.0, 0.5, 0.125]))
-    ratio = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
-    params = {}
-    if kind is ScheduleKind.CYCLIC:
-        params = {"period_steps": draw(st.integers(min_value=2, max_value=total + 3))}
-    elif kind is ScheduleKind.RATIONAL:
-        params = {"weight_decay": draw(st.floats(min_value=0.01, max_value=1.0))}
-    elif kind is ScheduleKind.PIECEWISE:
-        n = total - max(warmup, 1)
-        mult = draw(
-            st.lists(
-                st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n
-            )
-        )
-        params = {"multipliers": tuple(mult)}
-    return ScheduleSpec(
-        kind=kind,
-        total_steps=total,
-        peak_base_lr=peak_base,
-        warmup_steps=warmup,
-        mup_factor=rho,
-        decay_ratio=ratio,
-        kind_params=params,
-    )
 
 
 @settings(max_examples=150, deadline=None)
