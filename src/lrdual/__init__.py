@@ -31,7 +31,7 @@ _EXPORTS = {
     ),
     "scaling": ("PowerLawFit", "fit_power_law", "slope_gap"),
     "schedules": (
-        "ScheduleKind", "ScheduleSpec", "alpha_curve", "average_alpha", "lr_at", "lr_curve",
+        "ScheduleKind", "ScheduleSpec", "alpha_curve", "average_alpha", "lr_curve",
         "mup_scale",
     ),
 }

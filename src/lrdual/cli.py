@@ -56,6 +56,7 @@ from .oracle import (
 )
 from .scaling import fit_power_law
 from .schedules import (
+    KIND_PARAMS,
     ScheduleKind,
     ScheduleSpec,
     alpha_curve,
@@ -112,15 +113,15 @@ def _schedule_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--wd", type=float, default=0.1, help="weight decay for alpha columns (default: 0.1)"
     )
-    parser.add_argument(
-        "--milestone-frac", type=float, default=0.9, help="step kind: drop point (default: 0.9)"
-    )
-    parser.add_argument(
-        "--drop-frac", type=float, default=0.001, help="step kind: post-drop LR fraction"
-    )
-    parser.add_argument(
-        "--cooldown-frac", type=float, default=0.225, help="wsd kind: cooldown fraction"
-    )
+    step, wsd = KIND_PARAMS[ScheduleKind.STEP], KIND_PARAMS[ScheduleKind.WSD]
+    for flag, default, what in [
+        ("--milestone-frac", step["milestone_fraction"], "step kind: drop point"),
+        ("--drop-frac", step["drop_fraction"], "step kind: post-drop LR fraction"),
+        ("--cooldown-frac", wsd["cooldown_fraction"], "wsd kind: cooldown fraction"),
+    ]:
+        parser.add_argument(
+            flag, type=float, default=default, help=f"{what} (default: %(default)s)"
+        )
     parser.add_argument("--period", type=int, default=None, help="cyclic kind: period steps")
     parser.add_argument(
         "--multipliers", default=None, help="piecewise kind: file with one multiplier per line"
@@ -243,7 +244,7 @@ def _cmd_design(args):
 
 def _cmd_rational(args):
     lrs = rational_schedule(args.peak, args.wd, args.steps, args.warmup)
-    write_schedule_csv(_out_dir(args) / "rational_schedule.csv", lrs, lrs * args.wd)
+    write_schedule_csv(_out_dir(args) / "rational_schedule.csv", lrs, alpha_curve(lrs, args.wd))
     steps = np.arange(1, args.steps + 1)
     style = dict(title="rational schedule", x_label="step", y_label="learning rate")
     return ["rational_schedule.csv"], ("rational.svg", [("rational", steps, lrs)], style)

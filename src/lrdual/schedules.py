@@ -8,6 +8,11 @@ wider models (``lr = rho * base_lr``).
 
 Step indices are 1-based. ``warmup_steps == 0`` is allowed and behaves like
 a warmup of one step: the first step already runs at the peak rate.
+
+A :class:`ScheduleSpec` checks its shape parameters once, when it is built,
+filling in the defaults of :data:`KIND_PARAMS`, and keeps what its decay
+shape needs; changing the ``kind_params`` mapping afterwards changes nothing.
+:func:`lr_curve` is the one evaluator: it turns a spec into its LR array.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .errors import DomainError, ValidationError, allocation_guard, check_count,
 __all__ = [
     "ScheduleKind",
     "ScheduleSpec",
-    "lr_at",
+    "KIND_PARAMS",
     "lr_curve",
     "mup_scale",
     "alpha_curve",
@@ -47,14 +52,15 @@ class ScheduleKind(str, Enum):
     PIECEWISE = "piecewise"
 
 
-# The kind_params keys each kind reads; ScheduleSpec refuses any other key,
-# so a misspelt parameter cannot fall back to its default unnoticed.
-_KIND_PARAMS = {
-    ScheduleKind.STEP: ("milestone_fraction", "drop_fraction"),
-    ScheduleKind.WSD: ("cooldown_fraction",),
-    ScheduleKind.CYCLIC: ("period_steps",),
-    ScheduleKind.RATIONAL: ("weight_decay",),
-    ScheduleKind.PIECEWISE: ("multipliers",),
+# The kind_params each kind reads, with their defaults; None marks a required
+# parameter. ScheduleSpec refuses any other key, so a misspelt parameter
+# cannot fall back to its default unnoticed.
+KIND_PARAMS = {
+    ScheduleKind.STEP: {"milestone_fraction": 0.9, "drop_fraction": 0.001},
+    ScheduleKind.WSD: {"cooldown_fraction": 0.225},
+    ScheduleKind.CYCLIC: {"period_steps": None},
+    ScheduleKind.RATIONAL: {"weight_decay": None},
+    ScheduleKind.PIECEWISE: {"multipliers": None},
 }
 
 # Fraction-of-total-steps arithmetic (0.225 * 1000 and friends) must not be
@@ -104,16 +110,19 @@ class ScheduleSpec:
             learning rate is ``rho * peak_base_lr``.
         decay_ratio: final LR as a fraction of the peak for the decaying
             shapes (0 means decay to zero, 0.1 means a 10x decay). Constant,
-            invsqrt, step, wsd and piecewise shapes ignore it.
-        kind_params: shape-specific parameters:
-            step: ``milestone_fraction`` (default 0.9), ``drop_fraction``
-                (default 0.001);
-            wsd: ``cooldown_fraction`` (default 0.225) of the post-warmup
-                steps;
+            invsqrt, step, wsd, rational and piecewise shapes ignore it.
+        kind_params: shape-specific parameters, with the defaults of
+            :data:`KIND_PARAMS`:
+            step: ``milestone_fraction``, the run fraction after which the
+                rate drops, and ``drop_fraction``, the rate after the drop
+                as a fraction of the peak;
+            wsd: ``cooldown_fraction`` of the post-warmup steps;
             cyclic: ``period_steps`` (required);
             rational: ``weight_decay`` (required) used in the LR recurrence;
-            piecewise: ``multipliers`` covering the post-warmup steps.
-            Any other key is refused.
+            piecewise: ``multipliers`` (required) covering the post-warmup
+                steps.
+            Any other key is refused. They are checked and resolved once,
+            when the spec is built.
     """
 
     kind: ScheduleKind
@@ -123,6 +132,8 @@ class ScheduleSpec:
     mup_factor: float = 1.0
     decay_ratio: float = 0.0
     kind_params: Mapping[str, object] = field(default_factory=dict)
+    # What _decay_shape reads, resolved from kind_params by __post_init__.
+    _decay: object = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
@@ -138,52 +149,52 @@ class ScheduleSpec:
             )
         mup_scale(self.peak_base_lr, self.mup_factor)
         check_real("decay_ratio", self.decay_ratio, 0.0, 1.0, "[]")
-        self._validate_kind_params()
+        object.__setattr__(self, "_decay", self._resolve_kind_params())
 
-    # -- kind parameter handling -------------------------------------------------
-
-    def _param(self, name: str, default=None):
-        value = self.kind_params.get(name, default)
-        if value is None:
-            raise ValidationError(
-                f"kind_params.{name} is required for kind={self.kind.value}"
-            )
-        return value
-
-    def _number(
-        self, name: str, default=None, low: float = 0.0, high: float = math.inf, bounds: str = "[)"
-    ) -> float:
-        """A numeric kind parameter as a float, checked by :func:`check_real`."""
-        return check_real(f"kind_params.{name}", self._param(name, default), low, high, bounds)
-
-    def _validate_kind_params(self) -> None:
-        kind = self.kind
-        known = _KIND_PARAMS.get(kind, ())
+    def _resolve_kind_params(self):
+        """Check ``kind_params`` once and return what the decay shape reads:
+        step's milestone offset past warmup and drop value, wsd's cooldown
+        start, cyclic's period, rational's weight decay, piecewise's multipliers.
+        """
+        kind, T, w_eff = self.kind, self.total_steps, self.effective_warmup
+        defaults = KIND_PARAMS.get(kind, {})
         for name in self.kind_params:
-            if name not in known:
+            if name not in defaults:
                 raise ValidationError(
                     f"kind_params.{name} is not a parameter of kind={kind.value}; "
-                    f"it reads {', '.join(known) or 'none'}"
+                    f"it reads {', '.join(defaults) or 'none'}"
                 )
+        params = {**defaults, **self.kind_params}
+        for name, value in params.items():
+            if value is None:
+                raise ValidationError(f"kind_params.{name} is required for kind={kind.value}")
+
+        def number(name: str, low: float, high: float, bounds: str) -> float:
+            return check_real(f"kind_params.{name}", params[name], low, high, bounds)
+
         if kind is ScheduleKind.STEP:
-            mf = self._number("milestone_fraction", 0.9, 0.0, 1.0, "(]")
-            self._number("drop_fraction", 0.001, 0.0, 1.0, "[]")
-            if _snap_ceil(mf * self.total_steps) < self.effective_warmup:
+            milestone = _snap_ceil(number("milestone_fraction", 0.0, 1.0, "(]") * T)
+            drop = number("drop_fraction", 0.0, 1.0, "[]")
+            if milestone < w_eff:
                 raise ValidationError(
                     "kind_params.milestone_fraction places the drop inside warmup"
                 )
-        elif kind is ScheduleKind.WSD:
-            self._number("cooldown_fraction", 0.225, 0.0, 1.0, "(]")
-            if self._wsd_cooldown_start() < self.effective_warmup:
+            return milestone - w_eff, drop
+        if kind is ScheduleKind.WSD:
+            fraction = number("cooldown_fraction", 0.0, 1.0, "(]")
+            start = T - _snap_ceil(fraction * (T - self.warmup_steps))
+            if start < w_eff:
                 raise ValidationError(
                     "kind_params.cooldown_fraction leaves no stable phase after warmup"
                 )
-        elif kind is ScheduleKind.CYCLIC:
-            check_count("kind_params.period_steps", self._param("period_steps"))
-        elif kind is ScheduleKind.RATIONAL:
-            self._number("weight_decay", bounds="()")
-        elif kind is ScheduleKind.PIECEWISE:
-            value = self._param("multipliers")
+            return start
+        if kind is ScheduleKind.CYCLIC:
+            check_count("kind_params.period_steps", params["period_steps"])
+            return float(params["period_steps"])
+        if kind is ScheduleKind.RATIONAL:
+            return number("weight_decay", 0.0, math.inf, "()")
+        if kind is ScheduleKind.PIECEWISE:
+            value = params["multipliers"]
             try:
                 mult = np.asarray(value)
                 numeric = mult.dtype.kind in "iuf"
@@ -193,18 +204,18 @@ class ScheduleSpec:
                 raise ValidationError(
                     f"kind_params.multipliers must be numbers, got {reprlib.repr(value)}"
                 )
-            # A private read-only copy: every curve slices it, none converts again.
+            # A private read-only copy: every curve copies it, none converts again.
             mult = mult.astype(np.float64)
             mult.flags.writeable = False
-            expected = self.total_steps - self.effective_warmup
-            if mult.ndim != 1 or len(mult) != expected:
+            if mult.ndim != 1 or len(mult) != T - w_eff:
                 raise ValidationError(
-                    f"kind_params.multipliers must hold {expected} values covering "
+                    f"kind_params.multipliers must hold {T - w_eff} values covering "
                     f"the post-warmup steps, got {mult.shape}"
                 )
-            if expected and (not np.all(np.isfinite(mult)) or mult.min() < 0 or mult.max() > 1):
+            if T > w_eff and (not np.all(np.isfinite(mult)) or mult.min() < 0 or mult.max() > 1):
                 raise ValidationError("kind_params.multipliers must lie in [0, 1]")
-            object.__setattr__(self, "_multipliers", mult)
+            return mult
+        return None
 
     # -- derived quantities --------------------------------------------------------
 
@@ -218,11 +229,6 @@ class ScheduleSpec:
         """Realized peak learning rate ``rho * peak_base_lr``."""
         return mup_scale(self.peak_base_lr, self.mup_factor)
 
-    def _wsd_cooldown_start(self) -> int:
-        cf = self._number("cooldown_fraction", 0.225)
-        cooldown = _snap_ceil(cf * (self.total_steps - self.warmup_steps))
-        return self.total_steps - cooldown
-
 
 def mup_scale(peak_base_lr: float, mup_factor: float) -> float:
     """Scale a base learning rate by the width ratio ``rho``."""
@@ -230,8 +236,8 @@ def mup_scale(peak_base_lr: float, mup_factor: float) -> float:
     return check_real("mup_factor", mup_factor, 0.0, 1.0, "(]") * peak_base_lr
 
 
-def _decay_shape(spec: ScheduleSpec, t: np.ndarray, w_eff: float) -> None:
-    """Overwrite ``t``, consecutive step indices > w_eff, with the decay multiplier."""
+def _decay_shape(spec: ScheduleSpec, t: np.ndarray, w_eff: int) -> None:
+    """Overwrite ``t``, the steps ``w_eff + 1 .. T`` after warmup, with the decay multiplier."""
     T = spec.total_steps
     r = spec.decay_ratio
     kind = spec.kind
@@ -255,19 +261,17 @@ def _decay_shape(spec: ScheduleSpec, t: np.ndarray, w_eff: float) -> None:
         np.divide(w_eff, t, out=t)
         np.sqrt(t, out=t)
     elif kind is ScheduleKind.STEP:
-        milestone = _snap_ceil(spec._number("milestone_fraction", 0.9) * T)
-        k = np.searchsorted(t, milestone, side="right")
+        k, drop = spec._decay
         t[:k] = 1.0
-        t[k:] = spec._number("drop_fraction", 0.001)
+        t[k:] = drop
     elif kind is ScheduleKind.WSD:
-        start = spec._wsd_cooldown_start()
-        k = np.searchsorted(t, start, side="right")
-        t[:k] = 1.0
-        cooldown = t[k:]
+        start = spec._decay
+        t[: start - w_eff] = 1.0
+        cooldown = t[start - w_eff :]
         np.subtract(T, cooldown, out=cooldown)
         cooldown /= T - start
     elif kind is ScheduleKind.CYCLIC:
-        period = float(spec._param("period_steps"))
+        period = spec._decay
         t -= w_eff
         np.mod(t, period, out=t)
         t /= period
@@ -277,48 +281,32 @@ def _decay_shape(spec: ScheduleSpec, t: np.ndarray, w_eff: float) -> None:
         t *= 1.0 - r
         np.subtract(1.0, t, out=t)
     elif kind is ScheduleKind.RATIONAL:
-        # Harmonic closed form of the recurrence lr' = lr / (1 + lr * wd),
-        # seeded at the realized peak when warmup ends.
+        # Harmonic closed form 1 / (1 + rate * k), k = t - W, of the recurrence
+        # lr' = lr / (1 + lr * wd), seeded at the realized peak when warmup ends.
+        rate = spec._decay * spec.peak_lr
         t -= w_eff
-        # Past the float range the shape rounds to 1 / (1 + inf) = 0. Only a
-        # peak alpha = peak_lr * weight_decay far above 1 gets there, and every
-        # command refuses such a schedule at its first step.
         with np.errstate(over="ignore"):
-            t *= spec._number("weight_decay") * spec.peak_lr
+            t *= rate
+        # Where rate * k passes the float range, (1 / k) / rate keeps the value.
+        n = np.searchsorted(t, np.inf)
         t += 1.0
         np.divide(1.0, t, out=t)
+        t[n:] = 1.0 / np.arange(n + 1, len(t) + 1) / rate
     elif kind is ScheduleKind.PIECEWISE:
-        first = int(t[0] - w_eff) - 1
-        t[...] = spec._multipliers[first : first + len(t)]
+        t[...] = spec._decay
     else:  # pragma: no cover
         raise AssertionError(f"unhandled kind {kind}")
 
 
-def _lrs(spec: ScheduleSpec, t: np.ndarray) -> np.ndarray:
-    """Overwrite ``t``, ascending consecutive step indices, with their learning rates."""
-    w_eff = float(spec.effective_warmup)
-    k = np.searchsorted(t, w_eff, side="right")
-    t[:k] /= w_eff
-    if k < len(t):
-        _decay_shape(spec, t[k:], w_eff)
+def lr_curve(spec: ScheduleSpec) -> np.ndarray:
+    """All ``total_steps`` learning rates; index ``t - 1`` holds step ``t``."""
+    t = step_array(spec.total_steps)
+    w_eff = spec.effective_warmup
+    t[:w_eff] /= w_eff
+    _decay_shape(spec, t[w_eff:], w_eff)
     t *= spec.peak_base_lr
     t *= spec.mup_factor
     return t
-
-
-def lr_at(spec: ScheduleSpec, t: int) -> float:
-    """Learning rate at step ``t`` (1-based, ``1 <= t <= total_steps``)."""
-    check_count("step index t", t)
-    if not 1 <= t <= spec.total_steps:
-        raise ValidationError(
-            f"step index t={t} outside the schedule range 1..{spec.total_steps}"
-        )
-    return float(_lrs(spec, np.array([float(t)]))[0])
-
-
-def lr_curve(spec: ScheduleSpec) -> np.ndarray:
-    """All ``total_steps`` learning rates; index ``t - 1`` equals ``lr_at(spec, t)``."""
-    return _lrs(spec, step_array(spec.total_steps))
 
 
 def _lr_array(lrs) -> np.ndarray:

@@ -3,6 +3,7 @@ out-of-place references and the environment of a child ``python`` process."""
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -10,7 +11,6 @@ import numpy as np
 from hypothesis import strategies as st
 
 from lrdual import ScheduleKind, ScheduleSpec
-from lrdual.schedules import _snap_ceil
 
 ALL_KINDS = list(ScheduleKind)
 
@@ -168,6 +168,7 @@ def _reference_decay_shape(spec: ScheduleSpec, t: np.ndarray, w_eff: float) -> n
     T = spec.total_steps
     r = spec.decay_ratio
     kind = spec.kind
+    params = spec.kind_params
     if kind is ScheduleKind.CONSTANT:
         return np.ones_like(t)
     if kind is ScheduleKind.LINEAR:
@@ -179,22 +180,24 @@ def _reference_decay_shape(spec: ScheduleSpec, t: np.ndarray, w_eff: float) -> n
     if kind is ScheduleKind.INVSQRT:
         return np.sqrt(w_eff / t)
     if kind is ScheduleKind.STEP:
-        milestone = _snap_ceil(spec._number("milestone_fraction", 0.9) * T)
-        drop = spec._number("drop_fraction", 0.001)
+        # the last full-rate step, rounded up past float noise of 1e-9
+        milestone = math.ceil(params.get("milestone_fraction", 0.9) * T - 1e-9)
+        drop = params.get("drop_fraction", 0.001)
         return np.where(t <= milestone, 1.0, drop)
     if kind is ScheduleKind.WSD:
-        start = spec._wsd_cooldown_start()
+        fraction = params.get("cooldown_fraction", 0.225)
+        start = T - math.ceil(fraction * (T - spec.warmup_steps) - 1e-9)
         return np.where(t <= start, 1.0, (T - t) / (T - start))
     if kind is ScheduleKind.CYCLIC:
-        period = float(spec._param("period_steps"))
+        period = float(params["period_steps"])
         phase = np.mod(t - w_eff, period) / period
         tri = np.where(phase <= 0.5, 2.0 * phase, 2.0 * (1.0 - phase))
         return 1.0 - (1.0 - r) * tri
     if kind is ScheduleKind.RATIONAL:
-        wd = spec._number("weight_decay")
+        wd = float(params["weight_decay"])
         return 1.0 / (1.0 + wd * spec.peak_lr * (t - w_eff))
     if kind is ScheduleKind.PIECEWISE:
-        mult = np.asarray(spec.kind_params["multipliers"], dtype=np.float64)
+        mult = np.asarray(params["multipliers"], dtype=np.float64)
         return mult[(t - w_eff - 1.0).astype(np.intp)]
     raise AssertionError(f"unhandled kind {kind}")
 

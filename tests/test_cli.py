@@ -696,14 +696,15 @@ class TestDriver:
         ids=" ".join,
     )
     def test_each_command_evaluates_its_schedule_once(self, tmp_path, monkeypatch, argv):
+        # lr_curve is the only caller of step_array
         calls = []
-        evaluate = lrdual.schedules._lrs
+        evaluate = lrdual.schedules.step_array
 
-        def counted(spec, t):
-            calls.append(len(t))
-            return evaluate(spec, t)
+        def counted(total_steps):
+            calls.append(total_steps)
+            return evaluate(total_steps)
 
-        monkeypatch.setattr(lrdual.schedules, "_lrs", counted)
+        monkeypatch.setattr(lrdual.schedules, "step_array", counted)
         assert run(tmp_path, *argv, "--kind", "cosine", "--steps", "30", "--svg") == 0
         assert calls == [30]
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lrdual import ScheduleSpec, ValidationError, init_coefficient_approx, lr_at, lr_curve
+from lrdual import ScheduleSpec, ValidationError, init_coefficient_approx, lr_curve
 from lrdual.errors import check_count
 from lrdual.oracle import (
     AdamWConfig,
@@ -31,7 +31,6 @@ COUNTS = {
     "ScheduleSpec.warmup_steps": (lambda n: linear(warmup_steps=n), 2),
     "ScheduleSpec.period_steps": (
         lambda n: linear(kind="cyclic", kind_params={"period_steps": n}), 3),
-    "lr_at.t": (lambda n: lr_at(linear(), n), 3),
     "QuadraticProblem.dim": (lambda n: QuadraticProblem(dim=n), 3),
     "QuadraticProblem.batch_size": (lambda n: QuadraticProblem(dim=2, batch_size=n), 2),
     "sgd_monte_carlo_gap.trials": (
