@@ -2,14 +2,16 @@
 
 Floats are printed with 17 significant digits so every CSV round-trips to
 the exact double that produced it, and all writers are deterministic: the
-same data yields byte-identical files.
+same data yields byte-identical files. Tables are formatted in numpy blocks
+of rows by :mod:`lrdual._g17`: exactly ``format(x, ".17g")``, from a
+double-double product with exact powers of ten, with the scalar
+:func:`fmt17` for the rare value within 1e-9 of a rounding tie.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import count
 from pathlib import Path
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -61,22 +63,31 @@ def write_text_file(path: Path, text: Union[str, Iterable[str]]) -> None:
         fh.writelines([text] if isinstance(text, str) else text)
 
 
-# Rows formatted per block: the Python floats and row strings of one block
-# are freed before the next, so memory stays near one block's text.
-_BLOCK_ROWS = 4096
+# Rows formatted per block: memory stays near one block's text and arrays.
+_BLOCK_ROWS = 2048
 
 
 def columns_text(header: str, *columns: np.ndarray) -> Iterator[str]:
     """CSV text in blocks: ``header``, then rows ``index,col1,...`` with the index from 1.
 
-    Joined, the blocks are the whole file; pass them to :func:`write_text_file`.
+    Every value is written as ``format(x, ".17g")`` writes it, by numpy
+    array passes over each block (:mod:`lrdual._g17`). Joined, the blocks are
+    the whole file; pass them to :func:`write_text_file`. No columns, a
+    column that is not 1-D or columns of unequal lengths raise
+    :class:`ValidationError` naming the header.
     """
-    row = "{}," + ",".join(["{:.17g}"] * len(columns)) + "\n"
     arrays = [np.asarray(column, dtype=np.float64) for column in columns]
+    if not arrays:
+        raise ValidationError(f"table {header!r} has no columns")
+    shapes = [a.shape for a in arrays]
+    if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) > 1:
+        raise ValidationError(
+            f"table {header!r} needs 1-D columns of one length, got shapes {shapes}"
+        )
+    from . import _g17  # compiled on first use: commands without tables skip it
+
     yield header + "\n"
-    for start in range(0, min(map(len, arrays)), _BLOCK_ROWS):
-        values = [a[start : start + _BLOCK_ROWS].tolist() for a in arrays]
-        yield "".join(map(row.format, count(start + 1), *values))
+    yield from _g17.blocks(arrays, _BLOCK_ROWS)
 
 
 def float_json_text(fields: Mapping[str, Optional[float]]) -> str:
@@ -361,7 +372,12 @@ def svg_line_plot(
         color = _PALETTE[k % len(_PALETTE)]
         px = _MARGIN_L + (xs - x_lo) / (x_hi - x_lo) * plot_w
         py = _MARGIN_T + (1.0 - (ys - y_lo) / (y_hi - y_lo)) * plot_h
-        pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
+        # points formatted a block at a time hold one block's floats and strings
+        pair, step = "{:.2f},{:.2f}".format, _BLOCK_ROWS
+        pts = " ".join(
+            " ".join(map(pair, px[i : i + step].tolist(), py[i : i + step].tolist()))
+            for i in range(0, len(px), step)
+        )
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
         )

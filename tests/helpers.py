@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -213,3 +214,21 @@ def reference_lr_curve(spec: ScheduleSpec) -> np.ndarray:
     if decay.any():
         shape[decay] = _reference_decay_shape(spec, t[decay], w_eff)
     return spec.mup_factor * (spec.peak_base_lr * shape)
+
+
+def reference_columns_text(header: str, *columns) -> str:
+    """The whole table as rows ``index,col1,...``, one ``str.format`` per row.
+
+    This was :func:`lrdual.fileio.columns_text` before it formatted in numpy
+    blocks; its bytes must stay bit for bit the same.
+    """
+    row = "{}," + ",".join(["{:.17g}"] * len(columns)) + "\n"
+    values = [np.asarray(column, dtype=np.float64).tolist() for column in columns]
+    return header + "\n" + "".join(map(row.format, count(1), *values))
+
+
+def assert_same_lines(got: str, want: str) -> None:
+    """``got == want``, reporting the first differing line rather than a diff of the whole text."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    assert next(((g, w) for g, w in zip(got_lines, want_lines) if g != w), None) is None
+    assert len(got_lines) == len(want_lines)

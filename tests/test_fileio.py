@@ -18,6 +18,7 @@ from lrdual import (
     SmoothingSequence,
     ValidationError,
     coefficients_at,
+    fileio,
     iter_coefficient_rows,
     lr_curve,
 )
@@ -38,7 +39,13 @@ from lrdual.fileio import (
     write_text_file,
 )
 
-from helpers import edge_alphas, reference_log_tables, specs
+from helpers import (
+    assert_same_lines,
+    edge_alphas,
+    reference_columns_text,
+    reference_log_tables,
+    specs,
+)
 
 
 class TestFmt17:
@@ -119,21 +126,58 @@ class TestScheduleCsv:
             assert float(alpha) == alphas[idx]
 
 
+B = fileio._BLOCK_ROWS
+
+
+def awkward_values(n: int, seed: int) -> np.ndarray:
+    """``n`` seeded doubles: raw bit patterns with zeros, infinities, nan,
+    powers of ten, exact ties and integers mixed in."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64).copy()
+    picks = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e23, 1e-5, 2.0**-25,
+             1e15 + 0.25, 12345.0, 0.1, 1e16, 1e17, -3.5]
+    mixed = rng.random(n) < 0.3
+    values[mixed] = rng.choice(picks, int(mixed.sum()))
+    return values
+
+
 class TestColumnsText:
-    def test_matches_row_by_row_formatting_across_blocks(self):
-        # 10000 rows span three formatting blocks of 4096
-        rng = np.random.default_rng(1)
-        a = 10.0 ** rng.uniform(-300, 300, 10000)
-        b = np.log(rng.random(10000))
-        b[::7] = -np.inf
-        a[::11] = 0.0
-        expected = ["t,a,b"] + [
-            f"{i},{fmt17(x)},{fmt17(y)}" for i, (x, y) in enumerate(zip(a, b), start=1)
-        ]
-        assert "".join(columns_text("t,a,b", a, b)) == "\n".join(expected) + "\n"
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("ncols", [1, 2, 3, 4])
+    def test_matches_the_per_row_reference(self, rows, ncols):
+        columns = [awkward_values(rows, seed=10 * rows + j) for j in range(ncols)]
+        header = ",".join(["i"] + [f"c{j}" for j in range(ncols)])
+        got = "".join(columns_text(header, *columns))
+        assert_same_lines(got, reference_columns_text(header, *columns))
+
+    def test_index_and_blocks(self):
+        # each block holds B rows; the index counts on across blocks
+        blocks = list(columns_text("t,a", np.zeros(2 * B + 1)))
+        assert [block.count("\n") for block in blocks] == [1, B, B, 1]
+        assert blocks[-1] == f"{2 * B + 1},0\n"
+
+    def test_lists_and_integer_columns_are_read_as_doubles(self):
+        assert "".join(columns_text("t,a", [1, 2.5])) == "t,a\n1,1\n2,2.5\n"
 
     def test_header_only_without_rows(self):
         assert "".join(columns_text("t,a", np.array([]))) == "t,a\n"
+
+    def test_no_columns_is_refused(self):
+        with pytest.raises(ValidationError, match=r"^table 'h' has no columns$"):
+            list(columns_text("h"))
+
+    def test_unequal_lengths_are_refused(self):
+        shapes = r"got shapes \[\(3,\), \(1,\)\]$"
+        with pytest.raises(ValidationError, match=r"^table 'h,a,b' needs .*" + shapes):
+            list(columns_text("h,a,b", [1.0, 2.0, 3.0], [4.0]))
+
+    def test_a_two_dimensional_column_is_refused(self):
+        with pytest.raises(ValidationError, match=r"^table 'h,a' needs 1-D columns .*\(2, 2\)\]$"):
+            list(columns_text("h,a", [[1.0, 2.0], [3.0, 4.0]]))
+
+    def test_a_scalar_column_is_refused(self):
+        with pytest.raises(ValidationError, match=r"got shapes \[\(\)\]$"):
+            list(columns_text("h,a", 1.0))
 
 
 def traced_peak(fn, *args):
