@@ -328,7 +328,7 @@ def _cmd_fit(args):
     points = read_points(Path(args.in_path))
     fit = fit_power_law(points)
     write_fit_json(_out_dir(args) / "fit.json", fit)
-    xs, ys = np.array(sorted(points)).T
+    xs, ys = points[np.lexsort((points[:, 1], points[:, 0]))].T
     # a curve that overflows is refused by svg_line_plot, with the series name
     with np.errstate(over="ignore"):
         curve = fit.coefficient * xs**fit.exponent

@@ -1,4 +1,4 @@
-"""CSV, JSON and SVG emitters and the CSV readers.
+"""CSV, JSON and SVG emitters, and the input-file readers built on :mod:`lrdual._reader`.
 
 Floats are printed with 17 significant digits so every CSV round-trips to
 the exact double that produced it, and all writers are deterministic: the
@@ -152,28 +152,14 @@ def write_coefficient_matrix_csv(path: Path, alphas: SmoothingSequence) -> None:
     write_text_file(path, columns_text(_MATRIX_HEADER, tables.log_alpha, hi, lo))
 
 
-def _matrix_rows(path: Path) -> Iterator[Tuple[float, float, float]]:
-    """The checked ``(log_alpha, prefix_hi, prefix_lo)`` of each data line."""
-    lines = _content_lines(path)
-    lineno, header = next(lines, (0, _MATRIX_COLUMNS))
-    if header != _MATRIX_COLUMNS:
-        raise ValidationError(f"{path}:{lineno}: expected the header {_MATRIX_COLUMNS!r}")
-    i = 0
-    for i, (lineno, line) in enumerate(lines, start=1):
-        fields = line.split(",")
-        try:
-            if len(fields) != 4 or int(fields[0]) != i:
-                raise ValueError(f"expected 4 fields starting with i = {i}")
-            a, high, low = map(float, fields[1:])
-            if not (a <= 0.0 and math.isfinite(high) and math.isfinite(low)):
-                raise ValueError("log_alpha must be at most 0 and the prefix finite")
-            if i == 1 and a != 0.0:
-                raise ValueError("log_alpha_1 must be 0")
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}: {line!r}") from None
-        yield a, high, low
-    if not i:
-        raise ValidationError(f"{path}: no data rows")
+def _matrix_faults(i, log_alpha, hi, lo) -> List[Tuple[np.ndarray, str]]:
+    """Masks of the rows that break each rule of a coefficient matrix file, NaN included."""
+    return [
+        (i != np.arange(1, len(i) + 1), "i must count 1, 2, ..."),
+        (~(log_alpha <= 0.0), "log_alpha must be at most 0"),
+        (log_alpha[:1] != 0.0, "log_alpha_1 must be 0"),
+        (~(np.isfinite(hi) & np.isfinite(lo)), "the prefix must be finite"),
+    ]
 
 
 def read_coefficient_matrix(path: Path) -> Iterator[np.ndarray]:
@@ -182,15 +168,13 @@ def read_coefficient_matrix(path: Path) -> Iterator[np.ndarray]:
     The file is read and checked whole before the first row, which is then
     bit for bit :func:`lrdual.dual.iter_coefficient_rows` of the sequence
     that wrote it (where the prefix pair is exact, see the writer); each row
-    costs O(t). A bad header, an ``i`` that does not count 1, 2, ..., a
-    field that is not a number, a NaN, a positive ``log_alpha``, a first
-    ``log_alpha`` other than 0 or a non-finite prefix raises
-    :class:`ValidationError` naming the path and line.
+    costs O(t). Every fault is a :class:`ValidationError` naming the path and line.
     """
-    table = np.fromiter(_matrix_rows(path), dtype=np.dtype((np.float64, 3)))
-    log_alpha = table[:, 0]
-    prefix = table[:, 1].astype(np.longdouble)
-    prefix += table[:, 2]
+    from ._reader import read_table  # compiled on first use: commands without inputs skip it
+    log_alpha, hi, lo = read_table(  # i, once checked, is dropped
+        path, (int, float, float, float), _MATRIX_COLUMNS, required=True, faults=_matrix_faults
+    )[1:]
+    prefix = np.add(hi, lo, dtype=np.longdouble)
     resets = np.flatnonzero(log_alpha == 0.0)
     return iter_coefficient_rows(LogTables(log_alpha, prefix, resets))
 
@@ -223,78 +207,34 @@ def write_fit_json(path: Path, fit: PowerLawFit) -> None:
     )
 
 
-def _content_lines(path: Path) -> Iterator[Tuple[int, str]]:
-    """``(line number, stripped line)`` of each non-blank, non-comment line.
-
-    The file is read one line at a time; a byte that is not UTF-8 is refused
-    wherever it sits.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if line and not line.startswith("#"):
-                    yield lineno, line
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
-
-
-def _data_rows(path: Path, header: str) -> Iterator[List[str]]:
-    """The two stripped fields of each data line.
-
-    A first line whose first field is ``header`` is skipped; a file with no
-    content line is refused.
-    """
-    first = True
-    for lineno, line in _content_lines(path):
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 2:
-            raise ValidationError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
-        if not (first and fields[0].lower() == header):
-            yield fields
-        first = False
-    if first:
-        raise ValidationError(f"{path}: no data rows")
+def _index_faults(index: np.ndarray, _weights) -> List[Tuple[np.ndarray, str]]:
+    """The rows whose index is outside 1..n or shared with another row."""
+    n = len(index)
+    inside = index.clip(0, n + 1)
+    shared = (np.bincount(inside) > 1)[inside]
+    return [(shared | (index < 1) | (index > n), f"profile indices must be 1..{n} once each")]
 
 
 def read_target_profile(path: Path) -> TargetProfile:
     """Read an ``i,c`` CSV into a target profile (rows sorted by index)."""
-    indices, weights = [], []
-    for i, c in _data_rows(path, "i"):
-        try:
-            indices.append(int(i))
-            weights.append(float(c))
-        except ValueError as exc:
-            raise ValidationError(f"{path}: malformed profile row: {exc}") from exc
-    # An index too large for int64 makes this array float or object; it
-    # still sorts, and it never equals an index in 1..n.
-    index = np.array(indices)
-    order = np.argsort(index, kind="stable")
-    if not np.array_equal(index[order], np.arange(1, len(index) + 1)):
-        raise ValidationError(f"{path}: profile indices must be 1..{len(index)}")
-    return TargetProfile(np.array(weights)[order])
+    from ._reader import read_table
+    index, weights = read_table(path, (int, float), "i,c", faults=_index_faults)
+    try:
+        return TargetProfile(weights[np.argsort(index)])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
-def read_points(path: Path) -> List[Tuple[float, float]]:
-    """Read an ``x,y`` CSV into a list of pairs."""
-    points = []
-    for x, y in _data_rows(path, "x"):
-        try:
-            points.append((float(x), float(y)))
-        except ValueError as exc:
-            raise ValidationError(f"{path}: malformed point row: {exc}") from exc
-    return points
+def read_points(path: Path) -> np.ndarray:
+    """Read an ``x,y`` CSV into an ``(n, 2)`` array of points."""
+    from ._reader import read_table
+    return np.column_stack(read_table(path, (float, float), "x,y"))
 
 
-def read_multipliers(path: Path) -> Tuple[float, ...]:
+def read_multipliers(path: Path) -> np.ndarray:
     """Read one multiplier per line (used by the piecewise schedule kind)."""
-    values = []
-    for lineno, line in _content_lines(path):
-        try:
-            values.append(float(line))
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: not a number: {line!r}") from exc
-    return tuple(values)
+    from ._reader import read_table
+    return read_table(path, (float,))[0]
 
 
 # -- SVG ----------------------------------------------------------------------

@@ -876,3 +876,24 @@ def test_refused_input_leaves_no_out_directory(tmp_path, capsys, case):
     assert main([*argv, "--out", str(out)]) in (1, 2)
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert not (tmp_path / "fresh").exists()
+
+
+# An input file without a data row: a header only, or only comments.
+EMPTY_INPUT_CASES = {
+    "profile": (["design", "--target", "{path}"], "i,c\n"),
+    "points": (["fit", "--in", "{path}"], "x,y\n"),
+    "multipliers": (
+        ["schedule", "--kind", "piecewise", "--steps", "5", "--multipliers", "{path}"],
+        "# no values\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_INPUT_CASES))
+def test_input_without_data_rows_is_one_validation_line(tmp_path, capsys, case):
+    argv, text = EMPTY_INPUT_CASES[case]
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    assert run(tmp_path / "out", *[arg.format(path=path) for arg in argv]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"lrdual: validation error: {path}: no data rows"]

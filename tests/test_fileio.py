@@ -192,7 +192,7 @@ def traced_peak(fn, *args):
 
 
 class TestStreamedMemory:
-    """Tables are written, and profiles read, without holding the whole file."""
+    """Tables are written without holding the whole file."""
 
     def test_coefficients_csv_of_2e5_rows(self, tmp_path):
         n = 200_000
@@ -201,14 +201,6 @@ class TestStreamedMemory:
         coeffs.c  # materialized before tracing: only the writer is measured
         path = tmp_path / "coefficients.csv"
         assert traced_peak(write_coefficients_csv, path, coeffs) < 10e6
-
-    def test_target_profile_of_5e4_rows(self, tmp_path):
-        n = 50_000
-        weights = np.random.default_rng(3).random(n)
-        weights /= weights.sum()
-        path = tmp_path / "profile.csv"
-        write_text_file(path, columns_text("i,c", weights))
-        assert traced_peak(read_target_profile, path) < 8e6
 
 
 MATRIX_HEADER = (
@@ -306,6 +298,7 @@ class TestCoefficientMatrix:
             (GOOD + "3,inf,-1,0\n", 4),
             (GOOD + "3,-1,-inf,0\n", 4),  # a non-finite prefix
             (GOOD + "3,-1,-1,inf\n", 4),
+            (GOOD + "9223372036854775808,-1,-1,0\n", 4),  # i past int64
             ("i,log_alpha,prefix_hi,prefix_lo\n1,-0.5,0,0\n", 2),  # log_alpha_1 != 0
             ("i,log_alpha,prefix_hi,prefix_lo\n2,0,0,0\n", 2),  # i starts past 1
         ],
@@ -320,7 +313,7 @@ class TestCoefficientMatrix:
     def test_file_without_rows_is_refused(self, tmp_path, text):
         path = tmp_path / "matrix.csv"
         path.write_text(text)
-        with pytest.raises(ValidationError, match="no data rows"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: no data rows$"):
             read_coefficient_matrix(path)
 
     def test_good_file_reads(self, tmp_path):
@@ -346,7 +339,8 @@ class TestReaders:
     def test_points(self, tmp_path):
         path = tmp_path / "points.csv"
         path.write_text("x,y\n1,4\n4,2\n")
-        assert read_points(path) == [(1.0, 4.0), (4.0, 2.0)]
+        points = read_points(path)
+        assert points.dtype == np.float64 and points.tolist() == [[1.0, 4.0], [4.0, 2.0]]
 
     def test_points_malformed(self, tmp_path):
         path = tmp_path / "points.csv"
@@ -357,7 +351,7 @@ class TestReaders:
     def test_multipliers(self, tmp_path):
         path = tmp_path / "mult.txt"
         path.write_text("# comment\n1.0\n0.5\n\n0.25\n")
-        assert read_multipliers(path) == (1.0, 0.5, 0.25)
+        assert read_multipliers(path).tolist() == [1.0, 0.5, 0.25]
 
 
 class TestProfileReader:
@@ -385,43 +379,104 @@ class TestProfileReader:
         [
             ("i,c\n1,0.5\n2,0.25,9\n3,0.25\n", "profile.csv:3: expected 2 fields, got 3"),
             ("1,0.5\n\n# c\n2\n", "profile.csv:4: expected 2 fields, got 1"),
-            ("i,c\n1,0.5\n2,spam\n", "malformed profile row: could not convert string to float"),
-            ("i,c\n1,0.5\nx,0.5\n", "malformed profile row: invalid literal for int()"),
-            ("i,c\n1,0.5\n1.0,0.5\n", "malformed profile row: invalid literal for int()"),
-            ("i,c\n1,0.5\n1,0.5\n", "profile indices must be 1..2"),
-            ("i,c\n1,0.5\n3,0.5\n", "profile indices must be 1..2"),
-            ("2,0.5\n3,0.5\n", "profile indices must be 1..2"),
-            ("0,0.5\n1,0.5\n", "profile indices must be 1..2"),
-            ("1,0.5\n99999999999999999999999,0.5\n", "profile indices must be 1..2"),
-            ("-5,0.5\n9223372036854775808,0.5\n", "profile indices must be 1..2"),
+            ("i,c\n1,0.5\n2,spam\n", "profile.csv:3: could not convert string to float: 'spam'"),
+            ("i,c\n1,0.5\nx,0.5\n", "profile.csv:3: invalid literal for int()"),
+            ("i,c\n1,0.5\n1.0,0.5\n", "profile.csv:3: invalid literal for int()"),
+            ("i,c\n1,0.5\n1,0.5\n", "profile.csv:2: profile indices must be 1..2 once each"),
+            ("i,c\n1,0.5\n3,0.5\n", "profile.csv:3: profile indices must be 1..2 once each"),
+            ("2,0.5\n3,0.5\n", "profile.csv:2: profile indices must be 1..2 once each"),
+            ("0,0.5\n1,0.5\n", "profile.csv:1: profile indices must be 1..2 once each"),
+            ("1,0.5\n99999999999999999999999,0.5\n", "profile.csv:2: Python int too large"),
+            ("-5,0.5\n9223372036854775808,0.5\n", "profile.csv:2: Python int too large"),
+            ("i,c\n1,0.5\n2,nan\n", "profile.csv: weights must be finite and non-negative"),
+            ("i,c\n1,0.5\n2,0.25\n", "profile.csv: weights must sum to 1"),
+            ("i,weight\n1,1\n", "profile.csv:1: invalid literal for int()"),  # not the header
             ("", "profile.csv: no data rows"),
             ("# only a comment\n\n", "profile.csv: no data rows"),
-            ("i,c\n", "weights must be a non-empty 1-D sequence"),
+            ("i,c\n", "profile.csv: no data rows"),
         ],
     )
     def test_faults_keep_their_messages(self, tmp_path, text, message):
         path = tmp_path / "profile.csv"
         path.write_text(text)
-        with pytest.raises(ValidationError, match=re.escape(message)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(tmp_path / message))}"):
+            read_target_profile(path)
+
+    def test_fault_in_a_later_block_names_its_line(self, tmp_path):
+        # a file of several parse blocks: the bad row sits in the third
+        rows = [f"{k},0" for k in range(1, 5001)]
+        rows[4500] = "4501,0,0"
+        path = tmp_path / "profile.csv"
+        path.write_text("# a note\ni,c\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:4503: expected 2 fields")):
             read_target_profile(path)
 
 
-@pytest.mark.parametrize(
-    "reader, header, row",
-    [
-        (read_target_profile, "i,c\n", "1,0.5\n"),
-        (read_points, "x,y\n", "1,4\n"),
-        (read_multipliers, "", "0.5\n"),
-    ],
-    ids=["profile", "points", "multipliers"],
-)
-def test_non_utf8_after_first_chunk(tmp_path, reader, header, row):
+def read_matrix(path):
+    return list(read_coefficient_matrix(path))
+
+
+# Each reader with its header and one good row, split into fields.
+READERS = {
+    "profile": (read_target_profile, "i,c", ["1", "1"]),
+    "points": (read_points, "x,y", ["1", "4"]),
+    "multipliers": (read_multipliers, None, ["0.5"]),
+    "matrix": (read_matrix, "i,log_alpha,prefix_hi,prefix_lo", ["1", "0", "0", "0"]),
+}
+
+
+@pytest.mark.parametrize("reader, header, fields", READERS.values(), ids=list(READERS))
+def test_non_utf8_after_first_chunk(tmp_path, reader, header, fields):
     # text is decoded in 8 KiB chunks: the bad byte is met after earlier lines were read
-    rows = row.encode() * (9000 // len(row) + 1)
+    row = ",".join(fields) + "\n"
+    rows = row * (9000 // len(row) + 1)
     path = tmp_path / "input.csv"
-    path.write_bytes(header.encode() + rows + b"\xff\n" + row.encode())
-    with pytest.raises(ValidationError, match="not UTF-8 text"):
+    top = f"{header}\n" if header else ""
+    path.write_bytes((top + rows).encode() + b"\xff\n" + row.encode())
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
         reader(path)
+
+
+def fuzz_cases(header, fields):
+    """Awkward inputs for a reader whose header and one good row are given."""
+    top = f"{header}\n" if header else ""
+    row = ",".join(fields) + "\n"
+
+    def row_with(k, value):
+        return ",".join(fields[:k] + [value] + fields[k + 1 :]) + "\n"
+
+    last = len(fields) - 1
+    return {
+        "bad utf-8 past 8 KiB": (top + row * 2000).encode() + b"\xfe\xff\n",
+        "crlf": (top + row).replace("\n", "\r\n").encode(),
+        "comments and blanks": f"# note\n\n  {top}\n # more\n{row}\n\n".encode(),
+        "duplicate header": (top * 2 + row).encode(),
+        "1e400": (top + row_with(last, "1e400")).encode(),
+        "nan": (top + row_with(last, "nan")).encode(),
+        "5000-digit integer": (top + row_with(0, "9" * 5000)).encode(),
+        "past int64": (top + row_with(0, "9223372036854775808")).encode(),
+        "trailing comma": (top + row.rstrip() + ",\n").encode(),
+        "empty": b"",
+        "header only": top.encode() or b"# header only\n",
+    }
+
+
+FUZZ = [
+    pytest.param(reader, case, data, id=f"{name}-{case}")
+    for name, (reader, header, fields) in READERS.items()
+    for case, data in fuzz_cases(header, fields).items()
+]
+
+
+@pytest.mark.parametrize("reader, case, data", FUZZ)
+def test_reader_returns_or_names_the_path(tmp_path, reader, case, data):
+    # a result, or one ValidationError naming the path; nothing else escapes
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    try:
+        reader(path)
+    except ValidationError as exc:
+        assert str(exc).startswith(f"{path}:"), str(exc)
 
 
 class TestSvg:

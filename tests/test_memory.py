@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from lrdual import ScheduleKind, ScheduleSpec, SmoothingSequence, coefficients_at, lr_curve
-from lrdual.fileio import read_coefficient_matrix, write_coefficient_matrix_csv
+from lrdual.fileio import (
+    columns_text,
+    read_coefficient_matrix,
+    read_target_profile,
+    write_coefficient_matrix_csv,
+    write_text_file,
+)
 
 N = 100_000
 
@@ -62,6 +68,17 @@ def test_matrix_reader_holds_six_doubles_per_input(tmp_path):
         assert [len(row) for row in itertools.islice(rows, 3)] == [1, 2, 3]
 
     assert traced_peak(read_first_rows) <= 6 * 8 * N
+
+
+def test_profile_reader_holds_four_and_a_quarter_doubles_per_input(tmp_path):
+    # the index and weight columns, and a third while each is joined from its
+    # blocks; then the index check's clipped copy and counts, or the sort
+    # order and the sorted weights
+    weights = np.random.default_rng(3).random(N)
+    weights /= weights.sum()
+    path = tmp_path / "profile.csv"
+    write_text_file(path, columns_text("i,c", weights))
+    assert traced_peak(read_target_profile, path) <= 4.25 * 8 * N
 
 
 def test_smoothing_from_lrs_holds_two_and_a_half_doubles_per_step():
