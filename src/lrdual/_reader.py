@@ -24,7 +24,7 @@ def _content_lines(fh: Iterable[str]) -> Iterator[str]:
 
 def _fault(path: Path, index: int, message: object) -> NoReturn:
     """Raise ``path:line: message`` for content line ``index`` (from 0), found by reading again."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         numbers = (n for n, raw in enumerate(fh, start=1) if any(_content_lines([raw])))
         line = next(itertools.islice(numbers, index, None))
     raise ValidationError(f"{path}:{line}: {message}")
@@ -51,15 +51,16 @@ def read_table(
 ) -> List[np.ndarray]:
     """The int or float columns of a UTF-8 comma-separated file, ``_BLOCK_ROWS`` lines at a time.
 
-    Blank and ``#`` lines are skipped; the first content line is the header if its fields,
-    stripped and lowercased, are ``header``'s (a ``required`` one must be). ``faults(*columns)``
-    gives ``(mask, message)`` pairs marking the rows that break the caller's rules. Every fault,
-    those rows included, raises one ``path:line: ...`` :class:`ValidationError`, the line found
-    by reading the file again; no data rows or bad UTF-8 name only the path.
+    A leading byte-order mark (spreadsheet programs write one), blank and ``#`` lines are
+    skipped; the first content line is the header if its fields, stripped and lowercased, are
+    ``header``'s (a ``required`` one must be). ``faults(*columns)`` gives ``(mask, message)``
+    pairs marking the rows that break the caller's rules. Every fault, those rows included,
+    raises one ``path:line: ...`` :class:`ValidationError`, the line found by reading the file
+    again; no data rows or bad UTF-8 name only the path.
     """
     columns: List[List[np.ndarray]] = [[] for _ in types]
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = _content_lines(fh)
             first = next(lines, "")
             named = ",".join(f.strip() for f in first.lower().split(",")) == header

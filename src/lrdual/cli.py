@@ -244,7 +244,8 @@ def _cmd_design(args):
 
 def _cmd_rational(args):
     lrs = rational_schedule(args.peak, args.wd, args.steps, args.warmup)
-    write_schedule_csv(_out_dir(args) / "rational_schedule.csv", lrs, alpha_curve(lrs, args.wd))
+    alphas = alpha_curve(lrs, args.wd)
+    write_schedule_csv(_out_dir(args) / "rational_schedule.csv", lrs, alphas)
     steps = np.arange(1, args.steps + 1)
     style = dict(title="rational schedule", x_label="step", y_label="learning rate")
     return ["rational_schedule.csv"], ("rational.svg", [("rational", steps, lrs)], style)

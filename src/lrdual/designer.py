@@ -84,21 +84,17 @@ def rational_schedule(
     ``lr' = lr / (1 + lr * weight_decay)``, evaluated in closed form as
     ``peak_lr / (1 + peak_lr * weight_decay * k)`` after ``k`` recurrence
     steps (``ScheduleKind.RATIONAL``). With weight decay 1 and no warmup this
-    is the harmonic sequence 1, 1/2, 1/3, ...
+    is the harmonic sequence 1, 1/2, 1/3, ... The smoothing values are not
+    checked here: ``alpha_curve(lrs, weight_decay)`` refuses a peak with
+    ``peak_lr * weight_decay > 1``.
     """
-    spec = ScheduleSpec(
+    return lr_curve(ScheduleSpec(
         kind=ScheduleKind.RATIONAL,
         total_steps=total_steps,
         peak_base_lr=peak_lr,
         warmup_steps=warmup_steps,
         kind_params={"weight_decay": weight_decay},
-    )
-    if peak_lr * weight_decay > 1.0:
-        raise DomainError(
-            f"peak smoothing alpha = peak_lr * weight_decay = {peak_lr * weight_decay} "
-            f"exceeds 1; lower the peak learning rate or the weight decay"
-        )
-    return lr_curve(spec)
+    ))
 
 
 def schedule_from_coefficients(target: TargetProfile, weight_decay: float) -> DesignedSchedule:

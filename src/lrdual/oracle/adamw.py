@@ -11,18 +11,12 @@ where ``X`` is the update list shifted by one so the initial parameters sit
 at index 1 with smoothing 1, and ``c`` are the dual coefficients of the
 realized smoothing sequence.
 
-The update formula lives in one place, the body of the private loop
-``_steps``. Its problem is a :class:`QuadraticProblem` or a gradient
-callable ``(step, theta) -> g``; the callable is handed the previous
-parameters as a row of the loop's own table and must not write to it.
-
-The coefficients depend only on the schedule, so they are known before
-training starts and the sum can be built as training runs. The loop serves
-three consumers: :func:`train` records every iterate and update (the test
-reference, O(T * dim) memory); :func:`stream` yields each step from a
-two-row ring, which the ``simulate`` command feeds to :func:`reconstruct`
-for the online sum in O(T + dim) memory; the order probe keeps only the
-final parameters.
+The update formula lives in one place, the loop of :func:`stream`, which
+yields each step from a two-row ring. The coefficients depend only on the
+schedule, so they are known before training starts: the ``simulate``
+command feeds the streamed rows to :func:`reconstruct` for the online sum
+in O(T + dim) memory, and :func:`train` copies every yielded row into a
+recorded :class:`AdamWTrace`.
 """
 
 from __future__ import annotations
@@ -104,27 +98,31 @@ class AdamWTrace:
 Problem = Union[QuadraticProblem, Callable[[int, np.ndarray], np.ndarray]]
 
 
-def _steps(
+def stream(
     problem: Problem,
     lrs: np.ndarray,
     config: AdamWConfig,
-    seed: int,
-    theta0: Optional[np.ndarray],
-    rows: int,
+    seed: int = 0,
+    theta0: Optional[np.ndarray] = None,
 ) -> Iterator[Tuple[int, np.ndarray, Optional[np.ndarray]]]:
-    """The AdamW loop, shared by every consumer, and the one AdamW update.
+    """Run AdamW at learning rate ``lrs[t - 1]`` on step t, yielding each step.
 
-    ``problem`` is a :class:`QuadraticProblem` or a gradient callable
-    ``(step, theta) -> g``; anything else raises :class:`ValidationError`.
-    Yields ``(t, thetas, updates)`` for t = 0..T. The tables have ``rows``
-    rows used as a ring: after step t, ``thetas[t % rows]`` holds the
-    parameters and ``updates[t % rows]`` the moving-average input (both the
-    initialization at t = 0); ``updates`` is ``None`` when weight decay is
-    zero. ``rows = T + 1`` records the whole run, ``rows = 2`` only the last
-    two steps. The gradient is handed the row ``thetas[(t - 1) % rows]``.
+    ``problem`` is a :class:`QuadraticProblem` (noisy quadratic gradients,
+    deterministic in ``seed``, starting from ``problem.theta0()`` unless
+    ``theta0`` is given) or a gradient callable ``(step, theta) -> g``
+    called with the 1-based step and the current parameters, which requires
+    ``theta0``, must not write to the parameters and must return their
+    shape; anything else raises :class:`ValidationError`.
+
+    Yields ``(t, theta_t, x_t)`` for t = 0..T: the parameters after step t
+    and the moving-average input of step t (``x_0 = theta_0``; ``x_t`` is
+    ``None`` when weight decay is zero). Both are rows of a two-row ring, so
+    the yielded arrays, and the parameters a gradient callable is handed,
+    are overwritten two steps later; copy what must outlive that. Memory is
+    O(dim) whatever T is. Raises :class:`DivergenceError` naming the first
+    step at which the parameters became non-finite.
     """
     lrs = _lr_array(lrs)
-    steps = len(lrs)
     if isinstance(problem, QuadraticProblem):
         start = problem.theta0() if theta0 is None else theta0
         dim = problem.dim
@@ -163,27 +161,23 @@ def _steps(
             f"theta0 has shape {start.shape} but the problem has dim={problem.dim}"
         )
     dim = len(start)
-    thetas = np.empty((rows, dim))
-    thetas[0] = start
-    updates = None
-    direction = np.empty(dim)
-    if config.weight_decay > 0:
-        updates = np.empty((rows, dim))
-        updates[0] = start
-    yield 0, thetas, updates
+    # with weight decay 0 there is no moving-average input: the update rows are scratch
+    keep = config.weight_decay > 0
+    thetas = np.empty((2, dim))
+    updates = np.empty((2, dim))
+    thetas[0] = updates[0] = start
+    theta = thetas[0]
+    yield 0, theta, updates[0] if keep else None
 
     beta1, beta2, eps, wd = config.beta1, config.beta2, config.epsilon, config.weight_decay
     m = np.zeros(dim)
     v = np.zeros(dim)
     scratch = np.empty(dim)
-    theta = thetas[0]
-    for t in range(1, steps + 1):
-        row = t % rows
-        theta_new = thetas[row]
-        if updates is not None:
-            direction = updates[row]
+    for t in range(1, len(lrs) + 1):
+        theta_new, direction = thetas[t % 2], updates[t % 2]
         lr = lrs[t - 1]
-        # overflow is deliberate here: divergence is detected from the iterate
+        # overflow is deliberate here: divergence is detected from the iterate;
+        # the state is set per step, so a suspended generator never leaks it
         with np.errstate(over="ignore", invalid="ignore"):
             gradient = np.asarray(gradient_at(t, theta), dtype=np.float64)
             if gradient.shape != theta.shape:
@@ -213,32 +207,12 @@ def _steps(
             theta_new -= scratch
             if not np.isfinite(theta_new).all():
                 raise DivergenceError(t, f"parameters became non-finite at step {t}")
-            if updates is not None:
+            if keep:
                 # the moving-average input -direction / wd
                 np.negative(direction, out=direction)
                 direction /= wd
         theta = theta_new
-        yield t, thetas, updates
-
-
-def stream(
-    problem: Problem,
-    lrs: np.ndarray,
-    config: AdamWConfig,
-    seed: int = 0,
-    theta0: Optional[np.ndarray] = None,
-) -> Iterator[Tuple[int, np.ndarray, Optional[np.ndarray]]]:
-    """Run AdamW like :func:`train` but yield each step instead of recording it.
-
-    Yields ``(t, theta_t, x_t)`` for t = 0..T: the parameters after step t
-    and the moving-average input of step t (``x_0 = theta_0``; ``x_t`` is
-    ``None`` when weight decay is zero). Only two rows of each are held, so
-    the yielded arrays, and the parameters a gradient callable is handed,
-    are overwritten two steps later; copy what must outlive that. Memory is
-    O(dim) whatever T is.
-    """
-    for t, thetas, updates in _steps(problem, lrs, config, seed, theta0, 2):
-        yield t, thetas[t % 2], None if updates is None else updates[t % 2]
+        yield t, theta, direction if keep else None
 
 
 def train(
@@ -248,24 +222,25 @@ def train(
     seed: int = 0,
     theta0: Optional[np.ndarray] = None,
 ) -> AdamWTrace:
-    """Run AdamW at learning rate ``lrs[t - 1]`` on step t and record the trajectory.
+    """Run :func:`stream` and record every step it yields in an :class:`AdamWTrace`.
 
-    ``problem`` is a :class:`QuadraticProblem` (noisy quadratic gradients,
-    deterministic in ``seed``) or a gradient callable ``(step, theta) -> g``
-    called with the 1-based step and the current parameters, which requires
-    ``theta0``; any other input raises :class:`ValidationError`. The
-    parameters it is handed are the recorded row ``thetas[step - 1]``, so it
-    must not write to them, and its gradient must have their shape. Raises
-    :class:`DivergenceError` naming the first step at which parameters
-    became non-finite. The update formula is written once, in the loop both
-    this and :func:`stream` run.
-
-    :func:`stream` runs the same loop without recording; this is the
-    reference it is tested against, bit for bit.
+    The arguments and errors are :func:`stream`'s. A gradient callable is
+    handed the recorded row ``thetas[step - 1]`` rather than a ring row, so
+    the parameters it is handed stay valid for the whole run. The tables
+    take O(T * dim) memory.
     """
     lrs = _lr_array(lrs)
-    for _, thetas, updates in _steps(problem, lrs, config, seed, theta0, len(lrs) + 1):
-        pass
+    thetas = updates = None
+    if callable(problem):
+        gradient = problem
+        problem = lambda step, theta: gradient(step, thetas[step - 1])
+    for t, theta, x in stream(problem, lrs, config, seed, theta0):
+        if t == 0:
+            thetas = np.empty((len(lrs) + 1, len(theta)))
+            updates = None if x is None else np.empty_like(thetas)
+        thetas[t] = theta
+        if updates is not None:
+            updates[t] = x
     return AdamWTrace(
         thetas=thetas,
         updates=updates,
@@ -287,17 +262,19 @@ def reconstruct(
     weight decay is so close to 0 that ``x_t = -update / wd`` overflows.
     """
     theta_hat = scratch = theta = None
-    n = 0
+    n, inputs = 0, len(c)
     # an overflowed input makes the sum inf or nan; that is reported below
     with np.errstate(over="ignore", invalid="ignore"):
         for n, (theta, x) in enumerate(rows, start=1):
+            if n > inputs:  # the first surplus row
+                break
             if theta_hat is None:
                 theta_hat = np.zeros_like(x)
                 scratch = np.empty_like(x)
             np.multiply(x, c[n - 1], out=scratch)
             theta_hat += scratch
-    if n != len(c):
-        raise ValidationError(f"coefficients cover {len(c)} inputs but {n} rows arrived")
+    if n != inputs:
+        raise ValidationError(f"coefficients cover {inputs} inputs but {n} rows arrived")
     if not np.isfinite(theta_hat).all():
         raise DomainError(
             "the reconstructed parameters are not finite: the moving-average "
@@ -320,15 +297,8 @@ def reconstruct_from_updates(
     the recorded final parameters. The sum is :func:`reconstruct` run over
     the recorded rows, so it matches a streamed run bit for bit.
     """
-    if trace.weight_decay == 0:
+    if trace.updates is None:
         raise DomainError(
             "reconstruction requires weight_decay > 0 (updates are scaled by 1/wd)"
-        )
-    if trace.updates is None:
-        raise DomainError("trace has no recorded updates")
-    n_inputs = len(trace.updates)
-    if coeffs.t != n_inputs:
-        raise ValidationError(
-            f"coefficients cover {coeffs.t} inputs but the trace has {n_inputs}"
         )
     return reconstruct(coeffs.c, zip(trace.thetas, trace.updates))

@@ -1,4 +1,4 @@
-"""The benchmark tracer's targets still exist where it looks for them.
+"""The benchmark tracer's targets still exist where it looks for them, and read real results.
 
 ``bench/tracer.py`` wraps each target at every name another ``lrdual``
 module binds it to, and refuses to run when one is missing; this checks the
@@ -13,6 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from lrdual import ScheduleKind, ScheduleSpec, lr_curve
+from lrdual.oracle import AdamWConfig, QuadraticProblem, SweepGrid, run_noise_sweep, sweep, train
+
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
@@ -23,7 +26,8 @@ def load_tracer():
     return tracer
 
 
-TARGETS = [(home, attr) for home, attr, *_ in load_tracer().TARGETS]
+TRACER_MODULE = load_tracer()
+TARGETS = [(home, attr) for home, attr, *_ in TRACER_MODULE.TARGETS]
 
 
 def binders(home, fn):
@@ -48,3 +52,38 @@ def test_row_generator_and_sweep_cell_are_where_the_tracer_wraps_them():
     dual = importlib.import_module("lrdual.dual")
     assert binders("lrdual.dual", dual.iter_coefficient_rows)
     assert callable(importlib.import_module("lrdual.oracle.sweep")._run_cell)
+
+
+# The work functions read fields of real results: a change to what they read
+# (an ``AdamWTrace`` field, the call shape of ``sgd_monte_carlo_gap``) fails here
+# before it breaks a traced benchmark run.
+
+
+@pytest.mark.parametrize("wd", [0.1, 0.0])
+def test_train_work_reads_a_recorded_trace(wd):
+    lrs = lr_curve(ScheduleSpec(kind=ScheduleKind.LINEAR, total_steps=12, peak_base_lr=0.1))
+    trace = train(QuadraticProblem(dim=3), lrs, AdamWConfig(weight_decay=wd), seed=1)
+    update_bytes = 0 if wd == 0 else 13 * 3 * 8
+    assert TRACER_MODULE._train((), {}, trace) == [12, 12 * 3, 13 * 3 * 8 + update_bytes]
+
+
+def test_trial_steps_reads_the_sweep_call_and_a_positional_call(monkeypatch):
+    calls = []
+    gap = sweep.sgd_monte_carlo_gap
+
+    def recording(*args, **kwargs):
+        result = gap(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(sweep, "sgd_monte_carlo_gap", recording)
+    grid = SweepGrid.from_mapping({
+        "schedules": [{"kind": "linear"}], "peak_lrs": [0.1], "sigma2s": [0.5],
+        "steps": [20], "batches": [1], "mu": 1.0, "d0": 1.0, "warmup_frac": 0.1,
+        "trials": 7,
+    })
+    run_noise_sweep(grid, mode="monte-carlo", seed=3)
+    (args, kwargs, result), = calls
+    assert TRACER_MODULE._trial_steps(args, kwargs, result) == 7 * 20
+    positional = (*args, kwargs["trials"], kwargs["seed"])
+    assert TRACER_MODULE._trial_steps(positional, {}, gap(*positional)) == 7 * 20

@@ -279,10 +279,11 @@ class TestRational:
         assert lrs == pytest.approx([1, 0.5, 1 / 3, 0.25, 0.2], rel=1e-12)
 
     def test_peak_alpha_above_one_exits_2(self, tmp_path, capsys):
-        code = run(tmp_path, "rational", "--peak", "20", "--wd", "0.1", "--steps", "5")
+        out = tmp_path / "out"
+        code = run(out, "rational", "--peak", "20", "--wd", "0.1", "--steps", "5")
         assert code == 2
-        assert "exceeds 1" in capsys.readouterr().err
-        assert not (tmp_path / "rational_schedule.csv").exists()
+        assert "smoothing alpha=2.0 > 1 at step 1; " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:

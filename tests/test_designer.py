@@ -11,6 +11,7 @@ from lrdual import (
     SmoothingSequence,
     TargetProfile,
     ValidationError,
+    alpha_curve,
     coefficients_at,
     rational_schedule,
     schedule_from_coefficients,
@@ -67,8 +68,9 @@ class TestRationalSchedule:
             rational_schedule(1.0, 0.0, 10)
 
     def test_peak_alpha_above_one_rejected(self):
-        with pytest.raises(DomainError, match="exceeds 1"):
-            rational_schedule(20.0, 0.1, 10)
+        # alpha_curve is the one alpha <= 1 rule; rational_schedule does not check it
+        with pytest.raises(DomainError, match=r"smoothing alpha=2\.0 > 1 at step 1"):
+            alpha_curve(rational_schedule(20.0, 0.1, 10), 0.1)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

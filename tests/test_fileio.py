@@ -437,6 +437,21 @@ def test_non_utf8_after_first_chunk(tmp_path, reader, header, fields):
         reader(path)
 
 
+@pytest.mark.parametrize("reader, header, fields", READERS.values(), ids=list(READERS))
+def test_byte_order_mark_is_dropped(tmp_path, reader, header, fields):
+    # spreadsheet programs start UTF-8 CSV with a BOM: same rows, same line numbers
+    text = (f"{header}\n" if header else "") + ",".join(fields) + "\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert repr(reader(marked)) == repr(reader(plain))
+    marked.write_text(text + "x\n", encoding="utf-8-sig")
+    line = text.count("\n") + 1
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(marked))}:{line}: "):
+        reader(marked)
+
+
 def fuzz_cases(header, fields):
     """Awkward inputs for a reader whose header and one good row are given."""
     top = f"{header}\n" if header else ""

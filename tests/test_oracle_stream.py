@@ -101,6 +101,11 @@ class TestStream:
         with pytest.raises(ValidationError):
             reconstruct(np.full(4, 0.25), rows)
 
+    def test_online_sum_refuses_surplus_rows(self):
+        rows = [(np.ones(2), np.ones(2))] * 3
+        with pytest.raises(ValidationError, match="cover 2 inputs but 3 rows arrived"):
+            reconstruct(np.full(2, 0.5), rows)
+
 
 def test_simulate_memory_is_independent_of_steps_times_dim(tmp_path):
     # one (T+1) x dim table is 32 MB here; a recording run holds three
