@@ -46,14 +46,6 @@ from .fileio import (
     write_sweep_csv,
     write_text_file,
 )
-from .oracle import (
-    AdamWConfig,
-    QuadraticProblem,
-    SweepGrid,
-    reconstruct,
-    run_noise_sweep,
-    stream,
-)
 from .scaling import fit_power_law
 from .schedules import (
     KIND_PARAMS,
@@ -252,6 +244,10 @@ def _cmd_rational(args):
 
 
 def _cmd_simulate(args):
+    # Only simulate and sweep load the oracle; they import from the package,
+    # where bench/tracer.py rebinds the names it traces.
+    from .oracle import AdamWConfig, QuadraticProblem, reconstruct, stream
+
     spec = _spec_from_args(args)
     problem = QuadraticProblem(
         dim=args.dim,
@@ -309,6 +305,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_sweep(args):
+    from .oracle import SweepGrid, run_noise_sweep
+
     check_count("--jobs", args.jobs)
     with open(args.config, "r", encoding="utf-8") as fh:
         try:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+)
 
 import numpy as np
 
@@ -26,8 +28,10 @@ from .dual import (
     log_tables,
 )
 from .errors import DomainError, ValidationError
-from .oracle.sweep import SweepCellResult
 from .scaling import PowerLawFit
+
+if TYPE_CHECKING:  # commands other than sweep never load the oracle
+    from .oracle.sweep import SweepCellResult
 
 __all__ = [
     "fmt17",
@@ -181,7 +185,7 @@ def read_coefficient_matrix(path: Path) -> Iterator[np.ndarray]:
 
 _SWEEP_COLUMNS = (
     "schedule,peak_lr,decay_ratio,sigma2,batch,steps,"
-    "gap_analytic,gap_mc_mean,gap_mc_stderr,stable"
+    "gap_analytic,gap_mc_mean,gap_mc_stderr,stable,schedule_index"
 )
 
 
@@ -195,7 +199,7 @@ def write_sweep_csv(path: Path, results: Sequence[SweepCellResult]) -> None:
         lines.append(
             f"{r.schedule},{fmt17(r.peak_lr)},{fmt17(r.decay_ratio)},"
             f"{fmt17(r.sigma2)},{r.batch},{r.steps},"
-            f"{gaps[0]},{gaps[1]},{gaps[2]},{str(r.stable).lower()}"
+            f"{gaps[0]},{gaps[1]},{gaps[2]},{str(r.stable).lower()},{r.schedule_index}"
         )
     write_text_file(path, "\n".join(lines) + "\n")
 

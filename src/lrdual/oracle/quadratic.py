@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -114,35 +114,90 @@ def sgd_quadratic_expected_gap(
     return gaps
 
 
+# A chunk of chains holds about this many bytes of LR rows and trial rows
+# (the chain values and one noise product), so the Monte Carlo memory stays
+# flat in the number of chains.
+_CHUNK_BYTES = 1 << 20
+
+
+def _check_chains(
+    lrs: np.ndarray, mu: float, noise_var_eff: Union[float, Sequence[float]], d0: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate one chain (1-D ``lrs``, scalar variance) or time-major LR
+    columns ``(T, chains)`` with one variance per chain; return the columns
+    as a ``(T, chains)`` array and the variances."""
+    if np.ndim(noise_var_eff) == 0:
+        lrs = _check_chain(lrs, mu, noise_var_eff, d0)
+        return lrs[:, None], np.array([noise_var_eff], dtype=np.float64)
+    variances = list(noise_var_eff)
+    table = np.asarray(lrs)
+    if table.ndim != 2 or table.shape[1] != len(variances) or not variances:
+        raise ValidationError(
+            f"LR columns must have shape (T, {len(variances)}), one per noise variance, "
+            f"got shape {table.shape}"
+        )
+    for c, var in enumerate(variances):
+        try:
+            _check_chain(table[:, c], mu, var, d0)
+        except (DomainError, ValidationError) as exc:
+            raise type(exc)(f"chain {c}: {exc}") from None
+    return table.astype(np.float64, copy=False), np.array(variances, dtype=np.float64)
+
+
+def _final_gaps(
+    lrs: np.ndarray, stds: np.ndarray, mu: float, start: float, trials: int, seed: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean final squared distance and its standard error of each column of
+    ``lrs``; the chains are all noisy or all noiseless."""
+    with allocation_guard("trials", trials):
+        final_sq = np.empty((lrs.shape[1], trials))
+    noisy = bool(stds[0] > 0)
+    # every trial of a noiseless chain is the same, so one column stands for all
+    theta = final_sq if noisy else np.empty((lrs.shape[1], 1))
+    theta[...] = start
+    noise = np.empty_like(theta) if noisy else None
+    for t, lr in enumerate(lrs, 1):
+        # theta = (1 - lr * mu) * theta - (lr * std) * z, in place
+        theta *= (1.0 - lr * mu)[:, None]
+        if noisy:
+            np.multiply(normal_field(seed, t, trials), (lr * stds)[:, None], out=noise)
+            theta -= noise
+    np.multiply(theta, theta, out=final_sq)
+    return final_sq.mean(axis=1), final_sq.std(axis=1, ddof=1) / math.sqrt(trials)
+
+
 def sgd_monte_carlo_gap(
     lrs: np.ndarray,
     mu: float,
-    noise_var_eff: float,
+    noise_var_eff: Union[float, Sequence[float]],
     d0: float,
     trials: int,
     seed: int,
-) -> Tuple[float, float]:
+) -> Tuple[Union[float, np.ndarray], Union[float, np.ndarray]]:
     """Simulated mean final squared distance and its standard error.
 
-    Runs ``trials`` independent 1-D SGD chains with the shared noise stream
-    keyed by ``(seed, step)``; trial ``k`` reads coordinate ``k`` of each
-    step's noise field.
+    Runs ``trials`` 1-D SGD chains; trial ``k`` reads coordinate ``k`` of
+    the noise field keyed by ``(seed, step)``. A 1-D ``lrs`` with a scalar
+    ``noise_var_eff`` returns two floats. Time-major LR columns ``(T, chains)``
+    with one noise variance per chain return two arrays of length ``chains``:
+    every chain reads the same fields (common random numbers), so column
+    ``c`` equals the 1-D run of ``lrs[:, c]`` on the same seed, bit for bit.
+    Noiseless chains draw nothing. Chains advance in chunks of about
+    ``_CHUNK_BYTES``; each chunk draws the fields again, so the results do
+    not depend on the chunking.
     """
     check_count("trials", trials, minimum=2)
-    lrs = _check_chain(lrs, mu, noise_var_eff, d0)
-    noise_std = math.sqrt(noise_var_eff)
-    start = math.sqrt(d0)
-    with allocation_guard("trials", trials):
-        theta = np.full(trials, start)
-    for t in range(1, len(lrs) + 1):
-        lr = lrs[t - 1]
-        # theta = (1 - lr * mu) * theta - (lr * noise_std) * z, in place
-        theta *= 1.0 - lr * mu
-        if noise_std > 0:
-            noise = normal_field(seed, t, trials)
-            noise *= lr * noise_std
-            theta -= noise
-    final_sq = theta * theta
-    mean = float(final_sq.mean())
-    stderr = float(final_sq.std(ddof=1) / math.sqrt(trials))
-    return mean, stderr
+    table, variances = _check_chains(lrs, mu, noise_var_eff, d0)
+    steps, chains = table.shape
+    stds = np.sqrt(variances)
+    per_chunk = max(1, _CHUNK_BYTES // (8 * (steps + 2 * trials)))
+    means, stderrs = np.empty(chains), np.empty(chains)
+    for group in (np.flatnonzero(stds > 0), np.flatnonzero(stds == 0)):
+        for lo in range(0, group.size, per_chunk):
+            cols = group[lo : lo + per_chunk]
+            means[cols], stderrs[cols] = _final_gaps(
+                table[:, cols], stds[cols], mu, math.sqrt(d0), trials, seed
+            )
+    if np.ndim(noise_var_eff) == 0:
+        return float(means[0]), float(stderrs[0])
+    return means, stderrs

@@ -1,11 +1,15 @@
 """Grid sweeps of schedules against noise levels on the analytic quadratic.
 
 Cells are the cross product of schedules, peak learning rates, noise
-variances, step counts and batch sizes. Every cell is independent: its seed
-derives from the base seed and the cell's enumeration index, so results
-depend only on the grid and the seed. Making a grid builds the schedule of
-every cell, so a bad entry is refused before any cell runs. Cells run one
-after another; unstable cells are flagged in the output rather than dropped.
+variances, step counts and batch sizes. Making a grid builds the schedule of
+every cell, so a bad entry is refused before any cell runs; unstable cells
+are flagged in the output rather than dropped.
+
+The Monte Carlo mode uses common random numbers: every cell reads the same
+noise field at each step, keyed by one grid seed derived from the base seed,
+and the stable cells of one step count advance together as one chain array.
+A cell's result therefore depends only on its own schedule, noise level and
+the base seed, not on the other cells or its place in the grid.
 """
 
 from __future__ import annotations
@@ -124,10 +128,12 @@ class SweepGrid:
 @dataclass(eq=False)
 class SweepCellResult:
     """Final gap of one grid cell; gaps are None when the cell is unstable
-    or the mode did not compute them."""
+    or the mode did not compute them. ``schedule_index`` is the position of
+    the cell's entry in the grid's ``schedules``."""
 
     index: int
     schedule: str
+    schedule_index: int
     peak_lr: float
     decay_ratio: float
     sigma2: float
@@ -146,46 +152,38 @@ class SweepCellResult:
             self.sigma2,
             self.batch,
             self.steps,
+            self.schedule_index,
         )
 
 
 def _run_cell(
     index: int,
     spec: ScheduleSpec,
+    schedule_index: int,
+    lrs: Optional[np.ndarray],
     sigma2: float,
     batch: int,
     grid: SweepGrid,
-    mode: str,
-    base_seed: int,
+    mc_gap: Optional[Tuple[float, float]],
 ) -> SweepCellResult:
-    # Finite grid values can still overflow; such a cell is refused below
-    # instead of warned about and written as inf or nan.
-    with np.errstate(over="ignore", invalid="ignore"):
-        lrs = lr_curve(spec)
-        result = SweepCellResult(
-            index=index,
-            schedule=spec.kind.value,
-            peak_lr=spec.peak_base_lr,
-            decay_ratio=spec.decay_ratio,
-            sigma2=sigma2,
-            batch=batch,
-            steps=spec.total_steps,
-            stable=_first_unstable_step(lrs, grid.mu) is None,
+    """The result of one cell; ``lrs`` is None when the schedule is unstable."""
+    result = SweepCellResult(
+        index=index,
+        schedule=spec.kind.value,
+        schedule_index=schedule_index,
+        peak_lr=spec.peak_base_lr,
+        decay_ratio=spec.decay_ratio,
+        sigma2=sigma2,
+        batch=batch,
+        steps=spec.total_steps,
+        stable=lrs is not None,
+    )
+    if result.stable:
+        result.gap_analytic = float(
+            sgd_quadratic_expected_gap(lrs, grid.mu, sigma2 / batch, grid.d0)[-1]
         )
-        if result.stable:
-            sigma2_eff = sigma2 / batch
-            result.gap_analytic = float(
-                sgd_quadratic_expected_gap(lrs, grid.mu, sigma2_eff, grid.d0)[-1]
-            )
-            if mode == "monte-carlo":
-                result.gap_mc_mean, result.gap_mc_stderr = sgd_monte_carlo_gap(
-                    lrs,
-                    grid.mu,
-                    sigma2_eff,
-                    grid.d0,
-                    trials=grid.trials,
-                    seed=derive_seed(base_seed, index),
-                )
+        if mc_gap is not None:
+            result.gap_mc_mean, result.gap_mc_stderr = mc_gap
     for name in ("gap_analytic", "gap_mc_mean", "gap_mc_stderr"):
         value = getattr(result, name)
         if value is not None and not math.isfinite(value):
@@ -197,6 +195,25 @@ def _run_cell(
     return result
 
 
+def _monte_carlo_gaps(grid: SweepGrid, cells, curves, base_seed: int) -> dict:
+    """Monte Carlo gaps of the stable cells by cell index: one chain array per
+    step count, every chain reading the noise keyed by the grid seed."""
+    seed = derive_seed(base_seed, 0)
+    chains = {}  # step count -> (index, LR column, noise variance) of each stable cell
+    for index, (k, peak, sigma2, total, batch) in cells:
+        if curves[k, peak, total] is not None:
+            chains.setdefault(total, []).append((index, curves[k, peak, total], sigma2 / batch))
+    gaps = {}
+    for members in chains.values():
+        indices, columns, variances = zip(*members)
+        means, stderrs = sgd_monte_carlo_gap(
+            np.column_stack(columns), grid.mu, variances, grid.d0,
+            trials=grid.trials, seed=seed,
+        )
+        gaps.update(zip(indices, zip(means.tolist(), stderrs.tolist())))
+    return gaps
+
+
 def run_noise_sweep(
     grid: SweepGrid,
     mode: str = "analytic",
@@ -205,11 +222,22 @@ def run_noise_sweep(
     """Evaluate every grid cell; output is sorted by cell key, not run order."""
     if mode not in _MODES:
         raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
-    cells = product(
+    cells = list(enumerate(product(
         range(len(grid.schedules)), grid.peak_lrs, grid.sigma2s, grid.steps, grid.batches
-    )
-    results = [
-        _run_cell(index, grid._specs[k, peak, total], sigma2, batch, grid, mode, seed)
-        for index, (k, peak, sigma2, total, batch) in enumerate(cells)
-    ]
+    )))
+    # Finite grid values can still overflow; a cell whose gap does is
+    # refused by _run_cell instead of warned about and written as inf or nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        curves = {}  # None for an unstable schedule
+        for key, spec in grid._specs.items():
+            lrs = lr_curve(spec)
+            curves[key] = lrs if _first_unstable_step(lrs, grid.mu) is None else None
+        mc_gaps = _monte_carlo_gaps(grid, cells, curves, seed) if mode == "monte-carlo" else {}
+        results = [
+            _run_cell(
+                index, grid._specs[k, peak, total], k, curves[k, peak, total], sigma2, batch,
+                grid, mc_gaps.get(index),
+            )
+            for index, (k, peak, sigma2, total, batch) in cells
+        ]
     return sorted(results, key=SweepCellResult.sort_key)

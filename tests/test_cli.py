@@ -434,7 +434,7 @@ class TestSweep:
         header, rows = read_rows(tmp_path / "sweep.csv")
         assert header == [
             "schedule", "peak_lr", "decay_ratio", "sigma2", "batch", "steps",
-            "gap_analytic", "gap_mc_mean", "gap_mc_stderr", "stable",
+            "gap_analytic", "gap_mc_mean", "gap_mc_stderr", "stable", "schedule_index",
         ]
         assert len(rows) == 12
         keys = [(r[0], float(r[1])) for r in rows]
@@ -443,6 +443,23 @@ class TestSweep:
         assert unstable and all(float(r[1]) == 3.0 for r in unstable)
         assert all(r[6] == "" for r in unstable)
         assert (tmp_path / "sweep_config.json").exists()
+
+    def test_schedules_differing_only_in_kind_params_are_told_apart(self, tmp_path):
+        # both cyclic rows used to read "cyclic,0.10000000000000001,0,..."
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({
+            **self.CONFIG, "peak_lrs": [0.1], "batches": [1],
+            "schedules": [{"kind": "cyclic", "kind_params": {"period_steps": period}}
+                          for period in (10, 7)],
+        }))
+        assert run(tmp_path, "sweep", "--config", str(path), "--mode", "monte-carlo") == 0
+        header, rows = read_rows(tmp_path / "sweep.csv")
+        twin = ["cyclic", "0.10000000000000001", "0", "0.5", "1", "80"]
+        assert [r[:6] for r in rows] == [twin, twin]
+        assert [r[header.index("schedule_index")] for r in rows] == ["0", "1"]
+        assert rows[0][6] != rows[1][6]
+        echo = json.loads((tmp_path / "sweep_config.json").read_text())
+        assert [s["kind_params"]["period_steps"] for s in echo["schedules"]] == [10, 7]
 
     def test_parallelism_is_byte_identical(self, tmp_path):
         config = self._write_config(tmp_path)

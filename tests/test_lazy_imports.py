@@ -3,7 +3,8 @@
 ``numpy.ma``, ``fractions`` and ``decimal`` each cost a command startup time
 and resident memory (``numpy.ma`` about 16 ms and 1.3 MB), and no command
 needs them. ``lrdual._reader`` is loaded only by commands that read an input
-file. Each command runs in a fresh interpreter at a small size.
+file, and ``lrdual.oracle`` only by ``simulate`` and ``sweep``. Each command
+runs in a fresh interpreter at a small size.
 """
 
 import json
@@ -18,7 +19,7 @@ from lrdual.fileio import columns_text, write_text_file
 
 from helpers import child_env
 
-GUARDED = ("numpy.ma", "fractions", "decimal", "lrdual._reader")
+GUARDED = ("numpy.ma", "fractions", "decimal", "lrdual._reader", "lrdual.oracle")
 RUN = (
     "import json, sys, lrdual.cli; "
     "code = lrdual.cli.main(sys.argv[1:]); "
@@ -73,4 +74,7 @@ def test_command_loads_no_guarded_module(command, inputs, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     reads_a_file = command in ("design", "fit")
-    assert json.loads(done.stdout.splitlines()[-1]) == ["lrdual._reader"] * reads_a_file
+    runs_the_oracle = command.startswith(("simulate", "sweep"))
+    assert json.loads(done.stdout.splitlines()[-1]) == (
+        ["lrdual._reader"] * reads_a_file + ["lrdual.oracle"] * runs_the_oracle
+    )

@@ -118,3 +118,18 @@ def test_piecewise_lr_curve_reads_its_multipliers_in_place():
         kind_params={"multipliers": tuple(np.linspace(1.0, 0.0, N - warmup))},
     )
     assert traced_peak(lr_curve, spec) <= 1.5 * 8 * N
+
+
+def test_monte_carlo_sweep_holds_chunks_not_all_chains():
+    # 400 cells x 2000 trials: one array of every chain would be 6.4 MB. The
+    # sweep holds the grid's LR columns (0.32 MB), one chunk of chains at a
+    # time (its LR rows, chain values and noise product, about 1 MiB, plus
+    # the variance's temporary) and the 400 results (about 1 MB).
+    from lrdual.oracle import SweepGrid, run_noise_sweep
+
+    grid = SweepGrid.from_mapping({
+        "schedules": [{"kind": k} for k in ("linear", "cosine", "constant", "wsd", "invsqrt")],
+        "peak_lrs": [0.02, 0.05, 0.1, 0.2], "sigma2s": [0.0, 1.0], "steps": [100],
+        "batches": list(range(1, 11)), "trials": 2000,
+    })
+    assert traced_peak(run_noise_sweep, grid, "monte-carlo", 1) <= 4 * 2**20

@@ -154,3 +154,80 @@ class TestMonteCarlo:
         mean, stderr = sgd_monte_carlo_gap(lrs, 1.0, 0.0, 1.0, trials=16, seed=0)
         assert mean == pytest.approx(0.8**40, rel=1e-12)
         assert stderr == 0.0
+
+
+class TestMonteCarloChains:
+    """Time-major LR columns with one noise variance per chain."""
+
+    LRS = np.column_stack([
+        np.linspace(0.3, 0.0, 150), np.full(150, 0.05), np.linspace(0.01, 0.4, 150),
+        np.linspace(0.3, 0.0, 150), np.full(150, 1.9),
+    ])
+    VARIANCES = [0.5, 0.0, 2.0, 0.0, 1e-3]
+
+    def test_each_column_equals_its_one_chain_run(self):
+        means, stderrs = sgd_monte_carlo_gap(self.LRS, 1.0, self.VARIANCES, 1.5, trials=300,
+                                             seed=17)
+        assert means.shape == stderrs.shape == (5,)
+        for c, var in enumerate(self.VARIANCES):
+            one = sgd_monte_carlo_gap(self.LRS[:, c], 1.0, var, 1.5, trials=300, seed=17)
+            assert (means[c], stderrs[c]) == one
+
+    def test_noiseless_chain_equals_a_full_width_run(self):
+        # one column stands for every trial; the statistics still run over all
+        # of them, so the rounding of mean and std is that of the full array
+        theta = np.full(300, np.sqrt(1.5))
+        for lr in self.LRS[:, 1]:
+            theta *= 1.0 - lr * 1.0
+        final_sq = theta * theta
+        expected = (float(final_sq.mean()), float(final_sq.std(ddof=1) / np.sqrt(300)))
+        assert sgd_monte_carlo_gap(self.LRS[:, 1], 1.0, 0.0, 1.5, trials=300, seed=0) == expected
+
+    def test_chunking_does_not_change_results(self, monkeypatch):
+        from lrdual.oracle import quadratic
+
+        whole = sgd_monte_carlo_gap(self.LRS, 1.0, self.VARIANCES, 1.5, trials=300, seed=17)
+        drawn = []
+        field = quadratic.normal_field
+        monkeypatch.setattr(quadratic, "normal_field", lambda *a: drawn.append(a) or field(*a))
+        # one chain per chunk: each of the three noisy chunks draws its fields
+        monkeypatch.setattr(quadratic, "_CHUNK_BYTES", 8)
+        chunked = sgd_monte_carlo_gap(self.LRS, 1.0, self.VARIANCES, 1.5, trials=300, seed=17)
+        assert len(drawn) == 3 * 150
+        np.testing.assert_array_equal(chunked[0], whole[0])
+        np.testing.assert_array_equal(chunked[1], whole[1])
+
+    def test_one_field_per_step_and_none_for_noiseless_chains(self, monkeypatch):
+        from lrdual.oracle import quadratic
+
+        drawn = []
+        field = quadratic.normal_field
+        monkeypatch.setattr(quadratic, "normal_field", lambda *a: drawn.append(a) or field(*a))
+        sgd_monte_carlo_gap(self.LRS, 1.0, self.VARIANCES, 1.5, trials=300, seed=17)
+        assert drawn == [(17, t, 300) for t in range(1, 151)]
+        drawn.clear()
+        sgd_monte_carlo_gap(self.LRS, 1.0, [0.0] * 5, 1.5, trials=300, seed=17)
+        assert drawn == []
+
+    @pytest.mark.parametrize(
+        "lrs, variances, message",
+        [
+            (np.full((5, 2), 0.1), [1.0], r"shape \(T, 1\), one per noise variance, got shape "
+                                          r"\(5, 2\)"),
+            (np.full(5, 0.1), [1.0], r"shape \(T, 1\), one per noise variance, got shape \(5,\)"),
+            (np.full((5, 0), 0.1), [], r"shape \(T, 0\)"),
+            (np.full((5, 2), 0.1), [1.0, -1.0], "chain 1: noise_var_eff must be"),
+            (np.array([[0.1, 0.1], [0.1, -0.1]]), [1.0, 1.0],
+             "chain 1: learning rate -0.1 at step 2"),
+        ],
+        ids=["columns", "1-d", "no-chains", "variance", "lr"],
+    )
+    def test_columns_checked(self, lrs, variances, message):
+        with pytest.raises(ValidationError, match=message):
+            sgd_monte_carlo_gap(lrs, 1.0, variances, 1.0, trials=10, seed=0)
+
+    def test_unstable_column_is_named(self):
+        lrs = np.full((5, 2), 0.1)
+        lrs[3, 1] = 2.5
+        with pytest.raises(DomainError, match="chain 1: unstable step size at step 4"):
+            sgd_monte_carlo_gap(lrs, 1.0, [1.0, 1.0], 1.0, trials=10, seed=0)

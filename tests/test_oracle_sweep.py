@@ -1,11 +1,11 @@
-"""Sweep harness: determinism, grid validation, stability flags."""
+"""Sweep harness: determinism, grid validation, stability flags, shared noise."""
 
 import dataclasses
 
 import pytest
 
 from lrdual import ValidationError
-from lrdual.oracle import SweepGrid, SweepSchedule, run_noise_sweep
+from lrdual.oracle import SweepGrid, SweepSchedule, run_noise_sweep, sweep
 
 
 def small_grid(**overrides):
@@ -120,3 +120,61 @@ class TestRun:
     def test_mode_validated(self):
         with pytest.raises(ValidationError):
             run_noise_sweep(small_grid(), mode="bogus")
+
+
+def mc_gaps(results):
+    """Monte Carlo gaps by cell key, schedule index left out."""
+    return {r.sort_key()[:-1]: (r.gap_mc_mean, r.gap_mc_stderr) for r in results}
+
+
+class TestCommonRandomNumbers:
+    def test_one_monte_carlo_call_per_step_count(self, monkeypatch):
+        calls = []
+        gap = sweep.sgd_monte_carlo_gap
+        monkeypatch.setattr(
+            sweep, "sgd_monte_carlo_gap", lambda *a, **k: calls.append((a, k)) or gap(*a, **k)
+        )
+        grid = small_grid(steps=(120, 80), peak_lrs=(0.05, 0.2, 5.0))
+        results = run_noise_sweep(grid, mode="monte-carlo", seed=3)
+        assert [args[0].shape for args, _ in calls] == [(120, 16), (80, 16)]
+        assert {k["seed"] for _, k in calls} == {sweep.derive_seed(3, 0)}
+        assert sum(r.stable for r in results) == 32
+        assert all(r.gap_mc_mean is None for r in results if not r.stable)
+
+    def test_inserting_a_schedule_leaves_the_other_cells_unchanged(self):
+        grid = small_grid()
+        wider = small_grid(schedules=(SweepSchedule(kind="cosine"), *grid.schedules))
+        before = mc_gaps(run_noise_sweep(grid, mode="monte-carlo", seed=3))
+        after = mc_gaps(run_noise_sweep(wider, mode="monte-carlo", seed=3))
+        assert {key: after[key] for key in before} == before
+
+    def test_schedule_index_tells_equal_kinds_apart(self):
+        cyclic = tuple(
+            SweepSchedule(kind="cyclic", kind_params={"period_steps": p}) for p in (10, 7)
+        )
+        results = run_noise_sweep(small_grid(schedules=cyclic, sigma2s=(1.0,)), mode="analytic")
+        # the index is the last sort key, so the pairs of twins stay together
+        assert [r.schedule_index for r in results] == [0, 1] * 4
+        keys = [r.sort_key() for r in results]
+        assert len(set(keys)) == len(keys)
+
+    def test_every_noisy_cell_within_five_stderr_of_the_analytic_gap(self):
+        # The benchmark's contract. Shared noise correlates the cells of one
+        # seed, so it is checked over many seeds of an oracle-shaped grid.
+        grid = SweepGrid.from_mapping({
+            "schedules": [
+                {"kind": "linear", "decay_ratio": 0.0},
+                {"kind": "cosine", "decay_ratio": 0.0},
+                {"kind": "constant", "decay_ratio": 1.0},
+            ],
+            "peak_lrs": [0.03, 0.15, 0.45], "sigma2s": [0.0, 1.3], "steps": [500],
+            "batches": [1, 4], "mu": 1.0, "d0": 1.0, "warmup_frac": 0.1, "trials": 1000,
+        })
+        worst = 0.0
+        for seed in range(20):
+            noisy = [r for r in run_noise_sweep(grid, mode="monte-carlo", seed=seed)
+                     if r.sigma2 > 0]
+            assert len(noisy) == 18 and all(r.stable for r in noisy)
+            z = [abs(r.gap_mc_mean - r.gap_analytic) / r.gap_mc_stderr for r in noisy]
+            worst = max(worst, *z)
+        assert worst <= 5.0
