@@ -79,38 +79,59 @@ def _first_unstable_step(lrs: np.ndarray, mu: float) -> Optional[int]:
     return int(bad[0]) + 1 if bad.size else None
 
 
-def _check_chain(
-    lrs: np.ndarray, mu: float, noise_var_eff: float, d0: float
-) -> np.ndarray:
-    """Validate a 1-D SGD chain's inputs; return the step sizes as float64."""
-    check_real("mu", mu, bounds="()")
-    check_real("noise_var_eff", noise_var_eff)
-    check_real("d0", d0)
-    lrs = _lr_array(lrs)
-    step = _first_unstable_step(lrs, mu)
-    if step is not None:
-        raise DomainError(
-            f"unstable step size at step {step}: lr*mu={lrs[step - 1] * mu} "
-            f"outside [0, 2)"
+def _check_chains(
+    lrs: np.ndarray, mu: float, noise_var_eff: Union[float, Sequence[float]], d0: float
+) -> Tuple[np.ndarray, Union[float, np.ndarray], float]:
+    """Validate one chain (1-D ``lrs``, scalar variance) or time-major LR
+    columns ``(T, chains)`` with one variance per chain; return the step
+    sizes as float64 in the shape given, the variance as a float or one per
+    chain, and ``d0`` as a float. A column's fault names its chain."""
+    mu = check_real("mu", mu, bounds="()")
+    d0 = check_real("d0", d0)
+    one = np.ndim(noise_var_eff) == 0
+    variances = [noise_var_eff] if one else list(noise_var_eff)
+    table = lrs if one else np.asarray(lrs)
+    if not one and (table.ndim != 2 or table.shape[1] != len(variances) or not variances):
+        raise ValidationError(
+            f"LR columns must have shape (T, {len(variances)}), one per noise variance, "
+            f"got shape {table.shape}"
         )
-    return lrs
+    for c, var in enumerate(variances):
+        try:
+            variances[c] = check_real("noise_var_eff", var)
+            column = _lr_array(table if one else table[:, c])
+            step = _first_unstable_step(column, mu)
+            if step is not None:
+                raise DomainError(
+                    f"unstable step size at step {step}: lr*mu={column[step - 1] * mu} "
+                    f"outside [0, 2)"
+                )
+        except (DomainError, ValidationError) as exc:
+            raise exc if one else type(exc)(f"chain {c}: {exc}") from None
+    if one:
+        return column, variances[0], d0
+    return table.astype(np.float64, copy=False), np.array(variances), d0
 
 
 def sgd_quadratic_expected_gap(
     lrs: np.ndarray,
     mu: float,
-    noise_var_eff: float,
+    noise_var_eff: Union[float, Sequence[float]],
     d0: float,
 ) -> np.ndarray:
-    """Exact expected squared distances ``e_1..e_T`` for 1-D SGD."""
-    lrs = _check_chain(lrs, mu, noise_var_eff, d0)
-    contractions = (1.0 - lrs * mu) ** 2
-    injections = lrs * lrs * noise_var_eff
-    gaps = np.empty(len(lrs))
-    e = d0
-    for i in range(len(lrs)):
-        e = contractions[i] * e + injections[i]
-        gaps[i] = e
+    """Exact expected squared distances ``e_1..e_T`` for 1-D SGD.
+
+    Takes what :func:`sgd_monte_carlo_gap` takes: one chain gives its ``T``
+    gaps, LR columns ``(T, chains)`` a ``(T, chains)`` array whose column
+    ``c`` equals the one-chain result for ``lrs[:, c]`` bit for bit.
+    """
+    lrs, noise_var_eff, e = _check_chains(lrs, mu, noise_var_eff, d0)
+    contractions = np.square(1.0 - lrs * mu)
+    gaps = lrs * lrs  # the noise injections, each overwritten by its gap
+    gaps *= noise_var_eff
+    for t in range(len(lrs)):
+        e = contractions[t] * e + gaps[t]
+        gaps[t] = e
     return gaps
 
 
@@ -118,30 +139,6 @@ def sgd_quadratic_expected_gap(
 # (the chain values and one noise product), so the Monte Carlo memory stays
 # flat in the number of chains.
 _CHUNK_BYTES = 1 << 20
-
-
-def _check_chains(
-    lrs: np.ndarray, mu: float, noise_var_eff: Union[float, Sequence[float]], d0: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Validate one chain (1-D ``lrs``, scalar variance) or time-major LR
-    columns ``(T, chains)`` with one variance per chain; return the columns
-    as a ``(T, chains)`` array and the variances."""
-    if np.ndim(noise_var_eff) == 0:
-        lrs = _check_chain(lrs, mu, noise_var_eff, d0)
-        return lrs[:, None], np.array([noise_var_eff], dtype=np.float64)
-    variances = list(noise_var_eff)
-    table = np.asarray(lrs)
-    if table.ndim != 2 or table.shape[1] != len(variances) or not variances:
-        raise ValidationError(
-            f"LR columns must have shape (T, {len(variances)}), one per noise variance, "
-            f"got shape {table.shape}"
-        )
-    for c, var in enumerate(variances):
-        try:
-            _check_chain(table[:, c], mu, var, d0)
-        except (DomainError, ValidationError) as exc:
-            raise type(exc)(f"chain {c}: {exc}") from None
-    return table.astype(np.float64, copy=False), np.array(variances, dtype=np.float64)
 
 
 def _final_gaps(
@@ -187,9 +184,9 @@ def sgd_monte_carlo_gap(
     not depend on the chunking.
     """
     check_count("trials", trials, minimum=2)
-    table, variances = _check_chains(lrs, mu, noise_var_eff, d0)
+    lrs, variances, d0 = _check_chains(lrs, mu, noise_var_eff, d0)
+    table, stds = lrs.reshape(len(lrs), -1), np.sqrt(np.reshape(variances, -1))
     steps, chains = table.shape
-    stds = np.sqrt(variances)
     per_chunk = max(1, _CHUNK_BYTES // (8 * (steps + 2 * trials)))
     means, stderrs = np.empty(chains), np.empty(chains)
     for group in (np.flatnonzero(stds > 0), np.flatnonzero(stds == 0)):

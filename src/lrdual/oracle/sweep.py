@@ -5,17 +5,17 @@ variances, step counts and batch sizes. Making a grid builds the schedule of
 every cell, so a bad entry is refused before any cell runs; unstable cells
 are flagged in the output rather than dropped.
 
-The Monte Carlo mode uses common random numbers: every cell reads the same
-noise field at each step, keyed by one grid seed derived from the base seed,
-and the stable cells of one step count advance together as one chain array.
-A cell's result therefore depends only on its own schedule, noise level and
-the base seed, not on the other cells or its place in the grid.
+The stable cells of one step count are the LR columns of one exact-gap call
+and, in Monte Carlo mode, one simulation with common random numbers: every
+cell reads the same noise field at each step, keyed by one grid seed derived
+from the base seed. A cell's result therefore depends only on its own
+schedule, noise level and the base seed, not on the other cells.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
@@ -36,17 +36,33 @@ def _integer(value: object) -> object:
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
+def _known_keys(entry: object, cls: type, where: str) -> Mapping[str, Any]:
+    """``entry`` once it is a mapping whose every key names a field of
+    ``cls``: a misspelt key is refused, not left at its default."""
+    if not isinstance(entry, Mapping):
+        raise ValidationError(f"malformed sweep grid: {where} is a {type(entry).__name__}")
+    accepted = [f.name for f in fields(cls)]
+    for key in entry:
+        if key not in accepted:
+            raise ValidationError(
+                f"sweep grid: unknown key {key!r} in {where}; it accepts {', '.join(accepted)}"
+            )
+    return entry
+
+
 @dataclass(frozen=True)
 class SweepSchedule:
     """One schedule shape entering the grid."""
 
     kind: str
     decay_ratio: float = 0.0
-    kind_params: Mapping[str, object] = field(default_factory=dict)
+    # left out of the hash, so a grid stays hashable; equality still compares it
+    kind_params: Mapping[str, object] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         ratio = check_real("decay_ratio", self.decay_ratio, 0.0, 1.0, "[]")
         object.__setattr__(self, "decay_ratio", ratio)
+        object.__setattr__(self, "kind_params", dict(self.kind_params))
 
 
 @dataclass(frozen=True)
@@ -64,9 +80,12 @@ class SweepGrid:
     trials: int = 1000
 
     def __post_init__(self) -> None:
+        # Axes are stored as tuples, so a grid made from lists or arrays is hashable.
         for name in ("schedules", "peak_lrs", "sigma2s", "steps", "batches"):
-            if not getattr(self, name):
+            axis = tuple(getattr(self, name))
+            if not axis:
                 raise ValidationError(f"sweep grid axis {name} must be non-empty")
+            object.__setattr__(self, name, axis)
         # Reals are stored as floats, so sweep_config.json echoes a JSON 1 as 1.0.
         reals = {
             "mu": check_real("mu", self.mu, bounds="()"),
@@ -100,27 +119,19 @@ class SweepGrid:
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "SweepGrid":
-        """Build a grid from a parsed JSON document."""
+        """Build a grid from a parsed JSON document, whose keys are the field
+        names of the grid and of its schedule entries."""
         try:
-            schedules = tuple(
-                SweepSchedule(
-                    kind=str(entry["kind"]),
-                    decay_ratio=entry.get("decay_ratio", 0.0),
-                    kind_params=dict(entry.get("kind_params", {})),
-                )
-                for entry in data["schedules"]
-            )
-            return cls(
-                schedules=schedules,
-                peak_lrs=tuple(data["peak_lrs"]),
-                sigma2s=tuple(data["sigma2s"]),
-                steps=tuple(_integer(v) for v in data["steps"]),
-                batches=tuple(_integer(v) for v in data["batches"]),
-                mu=data.get("mu", 1.0),
-                d0=data.get("d0", 1.0),
-                warmup_frac=data.get("warmup_frac", 0.1),
-                trials=_integer(data.get("trials", 1000)),
-            )
+            kwargs = dict(_known_keys(data, cls, "the grid"))
+            kwargs["schedules"] = [
+                SweepSchedule(**_known_keys(entry, SweepSchedule, f"schedule {k}"))
+                for k, entry in enumerate(data["schedules"])
+            ]
+            for name in ("steps", "batches"):
+                kwargs[name] = [_integer(v) for v in data[name]]
+            if "trials" in data:
+                kwargs["trials"] = _integer(data["trials"])
+            return cls(**kwargs)
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed sweep grid: {exc}") from exc
 
@@ -160,13 +171,12 @@ def _run_cell(
     index: int,
     spec: ScheduleSpec,
     schedule_index: int,
-    lrs: Optional[np.ndarray],
     sigma2: float,
     batch: int,
-    grid: SweepGrid,
-    mc_gap: Optional[Tuple[float, float]],
+    gaps: Optional[Tuple[float, ...]],
 ) -> SweepCellResult:
-    """The result of one cell; ``lrs`` is None when the schedule is unstable."""
+    """The result of one cell from its analytic gap and, in Monte Carlo mode,
+    mean and standard error; ``gaps`` is None when the schedule is unstable."""
     result = SweepCellResult(
         index=index,
         schedule=spec.kind.value,
@@ -176,41 +186,41 @@ def _run_cell(
         sigma2=sigma2,
         batch=batch,
         steps=spec.total_steps,
-        stable=lrs is not None,
+        stable=gaps is not None,
     )
-    if result.stable:
-        result.gap_analytic = float(
-            sgd_quadratic_expected_gap(lrs, grid.mu, sigma2 / batch, grid.d0)[-1]
-        )
-        if mc_gap is not None:
-            result.gap_mc_mean, result.gap_mc_stderr = mc_gap
-    for name in ("gap_analytic", "gap_mc_mean", "gap_mc_stderr"):
-        value = getattr(result, name)
-        if value is not None and not math.isfinite(value):
+    for name, value in zip(("gap_analytic", "gap_mc_mean", "gap_mc_stderr"), gaps or ()):
+        if not math.isfinite(value):
             raise DomainError(
                 f"sweep cell {index} ({result.schedule}, peak_lr={result.peak_lr!r}, "
                 f"sigma2={sigma2!r}, batch={batch}, steps={result.steps}): "
                 f"{name} is {value!r}"
             )
+        setattr(result, name, value)
     return result
 
 
-def _monte_carlo_gaps(grid: SweepGrid, cells, curves, base_seed: int) -> dict:
-    """Monte Carlo gaps of the stable cells by cell index: one chain array per
-    step count, every chain reading the noise keyed by the grid seed."""
-    seed = derive_seed(base_seed, 0)
+def _grouped_gaps(grid: SweepGrid, cells, mode: str, base_seed: int) -> dict:
+    """The gaps of the stable cells by cell index, as ``_run_cell`` takes
+    them: one call of each gap function per step count."""
+    stable = {}  # the LR curve of each stable (schedule, peak, steps)
+    for key, spec in grid._specs.items():
+        lrs = lr_curve(spec)
+        if _first_unstable_step(lrs, grid.mu) is None:
+            stable[key] = lrs
     chains = {}  # step count -> (index, LR column, noise variance) of each stable cell
     for index, (k, peak, sigma2, total, batch) in cells:
-        if curves[k, peak, total] is not None:
-            chains.setdefault(total, []).append((index, curves[k, peak, total], sigma2 / batch))
+        if (k, peak, total) in stable:
+            chains.setdefault(total, []).append((index, stable[k, peak, total], sigma2 / batch))
+    # deriving the seed imports numpy.random, which analytic sweeps do without
+    seed = derive_seed(base_seed, 0) if mode == "monte-carlo" else None
     gaps = {}
     for members in chains.values():
         indices, columns, variances = zip(*members)
-        means, stderrs = sgd_monte_carlo_gap(
-            np.column_stack(columns), grid.mu, variances, grid.d0,
-            trials=grid.trials, seed=seed,
-        )
-        gaps.update(zip(indices, zip(means.tolist(), stderrs.tolist())))
+        chain_args = (np.column_stack(columns), grid.mu, variances, grid.d0)
+        found = [sgd_quadratic_expected_gap(*chain_args)[-1].copy()]  # copied: the table is freed
+        if seed is not None:
+            found += sgd_monte_carlo_gap(*chain_args, trials=grid.trials, seed=seed)
+        gaps.update(zip(indices, zip(*(values.tolist() for values in found))))
     return gaps
 
 
@@ -228,16 +238,9 @@ def run_noise_sweep(
     # Finite grid values can still overflow; a cell whose gap does is
     # refused by _run_cell instead of warned about and written as inf or nan.
     with np.errstate(over="ignore", invalid="ignore"):
-        curves = {}  # None for an unstable schedule
-        for key, spec in grid._specs.items():
-            lrs = lr_curve(spec)
-            curves[key] = lrs if _first_unstable_step(lrs, grid.mu) is None else None
-        mc_gaps = _monte_carlo_gaps(grid, cells, curves, seed) if mode == "monte-carlo" else {}
+        gaps = _grouped_gaps(grid, cells, mode, seed)
         results = [
-            _run_cell(
-                index, grid._specs[k, peak, total], k, curves[k, peak, total], sigma2, batch,
-                grid, mc_gaps.get(index),
-            )
+            _run_cell(index, grid._specs[k, peak, total], k, sigma2, batch, gaps.get(index))
             for index, (k, peak, sigma2, total, batch) in cells
         ]
     return sorted(results, key=SweepCellResult.sort_key)

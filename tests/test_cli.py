@@ -536,6 +536,34 @@ class TestSweep:
         assert lines[0].startswith("lrdual: validation error:")
 
 
+    @pytest.mark.parametrize(
+        "document, key",
+        [({"extra": 1}, "'extra' in the grid"),
+         ({"schedules": [{"kind": "linear", "decay": 0.1}]}, "'decay' in schedule 0")],
+        ids=["top-level", "schedule"],
+    )
+    def test_unknown_key_exits_1_before_out_is_made(self, tmp_path, capsys, document, key):
+        # a misspelt decay_ratio used to run with its default 0.0 and exit 0
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({**self.CONFIG, **document}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"lrdual: validation error: sweep grid: unknown key {key}; it accepts "
+            + ("kind, decay_ratio, kind_params\n" if "schedule" in key else
+               "schedules, peak_lrs, sigma2s, steps, batches, mu, d0, warmup_frac, trials\n")
+        )
+        assert not out.exists()
+
+    def test_config_echo_is_not_a_grid(self, tmp_path, capsys):
+        # sweep_config.json adds base_seed and mode to the grid's fields, keys sorted
+        config = self._write_config(tmp_path)
+        assert run(tmp_path, "sweep", "--config", str(config)) == 0
+        capsys.readouterr()
+        echo = tmp_path / "sweep_config.json"
+        assert main(["sweep", "--config", str(echo), "--out", str(tmp_path / "again")]) == 1
+        assert "unknown key 'base_seed' in the grid" in capsys.readouterr().err
+
     def test_config_echo_writes_reals_as_floats(self, tmp_path):
         # integral JSON numbers in real fields echo as floats, counts as ints
         document = {**self.CONFIG, "schedules": [{"kind": "linear", "decay_ratio": 0}],

@@ -3,8 +3,10 @@
 ``numpy.ma``, ``fractions`` and ``decimal`` each cost a command startup time
 and resident memory (``numpy.ma`` about 16 ms and 1.3 MB), and no command
 needs them. ``lrdual._reader`` is loaded only by commands that read an input
-file, and ``lrdual.oracle`` only by ``simulate`` and ``sweep``. Each command
-runs in a fresh interpreter at a small size.
+file, ``lrdual.oracle`` only by ``simulate`` and ``sweep``, and ``numpy.random``
+(which deriving a seed loads, about 6 MB of resident memory) only by the
+commands that draw noise: ``simulate`` with noise and a Monte Carlo sweep. Each
+command runs in a fresh interpreter at a small size.
 """
 
 import json
@@ -19,7 +21,7 @@ from lrdual.fileio import columns_text, write_text_file
 
 from helpers import child_env
 
-GUARDED = ("numpy.ma", "fractions", "decimal", "lrdual._reader", "lrdual.oracle")
+GUARDED = ("numpy.ma", "fractions", "decimal", "lrdual._reader", "lrdual.oracle", "numpy.random")
 RUN = (
     "import json, sys, lrdual.cli; "
     "code = lrdual.cli.main(sys.argv[1:]); "
@@ -75,6 +77,8 @@ def test_command_loads_no_guarded_module(command, inputs, tmp_path):
     assert done.returncode == 0, done.stderr
     reads_a_file = command in ("design", "fit")
     runs_the_oracle = command.startswith(("simulate", "sweep"))
+    draws_noise = command in ("simulate", "sweep monte-carlo")
     assert json.loads(done.stdout.splitlines()[-1]) == (
         ["lrdual._reader"] * reads_a_file + ["lrdual.oracle"] * runs_the_oracle
+        + ["numpy.random"] * draws_noise
     )

@@ -133,3 +133,19 @@ def test_monte_carlo_sweep_holds_chunks_not_all_chains():
         "batches": list(range(1, 11)), "trials": 2000,
     })
     assert traced_peak(run_noise_sweep, grid, "monte-carlo", 1) <= 4 * 2**20
+
+
+def test_analytic_sweep_holds_three_column_tables():
+    # The exact gap of one step count holds the grid's LR columns, their
+    # contractions and the gaps, which overwrite the noise injections in
+    # place: three (T, chains) tables, plus the 20 schedule curves (a
+    # quarter of a table) that the columns are stacked from.
+    from lrdual.oracle import SweepGrid, run_noise_sweep
+
+    grid = SweepGrid.from_mapping({
+        "schedules": [{"kind": k} for k in ("linear", "cosine", "constant", "wsd", "invsqrt")],
+        "peak_lrs": [0.02, 0.05, 0.1, 0.2], "sigma2s": [0.0, 1.0], "steps": [2000],
+        "batches": [1, 4],
+    })
+    table = 8 * 2000 * 80
+    assert traced_peak(run_noise_sweep, grid, "analytic", 1) <= 3.5 * table

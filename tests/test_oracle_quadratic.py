@@ -7,6 +7,13 @@ from lrdual import DomainError, ValidationError
 from lrdual.oracle import QuadraticProblem, sgd_monte_carlo_gap, sgd_quadratic_expected_gap
 
 
+def run_gap(gap, lrs, mu, noise_var_eff, d0):
+    """The analytic or the Monte Carlo gap on the same chain arguments."""
+    if gap == "analytic":
+        return sgd_quadratic_expected_gap(lrs, mu, noise_var_eff, d0)
+    return sgd_monte_carlo_gap(lrs, mu, noise_var_eff, d0, trials=10, seed=0)
+
+
 class TestQuadraticProblem:
     def test_start_point_distance(self):
         p = QuadraticProblem(dim=5, theta0_dist_sq=2.5)
@@ -63,6 +70,20 @@ class TestExpectedGap:
         # or nan learning rate is not a learning rate at all
         with pytest.raises(error, match=message):
             sgd_quadratic_expected_gap(np.array([0.1, 1.9, bad, 3.0]), 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "lrs, mu, s2, d0, pinned",
+        [
+            (np.linspace(0.05, 0.001, 300), 1.0, 0.7, 1.5,
+             (0.013094071851585686, 0.004009706104184308)),
+            (np.linspace(1.5, 0.0, 300), 1.3, 2.0, 0.5, (2.2222449644465487, 0.04373710765682645)),
+        ],
+    )
+    def test_bit_pin(self, lrs, mu, s2, d0, pinned):
+        # recorded when the recursion ran one chain per call; the column form
+        # must not reorder its floating-point operations
+        gaps = sgd_quadratic_expected_gap(lrs, mu, s2, d0)
+        assert (float(gaps[99]), float(gaps[-1])) == pinned
 
     def test_bound_dominates_exact_recursion(self):
         # running two-term majorant: contraction product on d0 plus the
@@ -157,7 +178,8 @@ class TestMonteCarlo:
 
 
 class TestMonteCarloChains:
-    """Time-major LR columns with one noise variance per chain."""
+    """Time-major LR columns with one noise variance per chain, taken by both
+    gap functions."""
 
     LRS = np.column_stack([
         np.linspace(0.3, 0.0, 150), np.full(150, 0.05), np.linspace(0.01, 0.4, 150),
@@ -172,6 +194,13 @@ class TestMonteCarloChains:
         for c, var in enumerate(self.VARIANCES):
             one = sgd_monte_carlo_gap(self.LRS[:, c], 1.0, var, 1.5, trials=300, seed=17)
             assert (means[c], stderrs[c]) == one
+
+    def test_each_expected_gap_column_equals_its_one_chain_run(self):
+        gaps = sgd_quadratic_expected_gap(self.LRS, 1.0, self.VARIANCES, 1.5)
+        assert gaps.shape == self.LRS.shape
+        for c, var in enumerate(self.VARIANCES):
+            one = sgd_quadratic_expected_gap(self.LRS[:, c], 1.0, var, 1.5)
+            assert gaps[:, c].tobytes() == one.tobytes()
 
     def test_noiseless_chain_equals_a_full_width_run(self):
         # one column stands for every trial; the statistics still run over all
@@ -222,12 +251,14 @@ class TestMonteCarloChains:
         ],
         ids=["columns", "1-d", "no-chains", "variance", "lr"],
     )
-    def test_columns_checked(self, lrs, variances, message):
+    @pytest.mark.parametrize("gap", ["analytic", "monte-carlo"])
+    def test_columns_checked(self, gap, lrs, variances, message):
         with pytest.raises(ValidationError, match=message):
-            sgd_monte_carlo_gap(lrs, 1.0, variances, 1.0, trials=10, seed=0)
+            run_gap(gap, lrs, 1.0, variances, 1.0)
 
-    def test_unstable_column_is_named(self):
+    @pytest.mark.parametrize("gap", ["analytic", "monte-carlo"])
+    def test_unstable_column_is_named(self, gap):
         lrs = np.full((5, 2), 0.1)
         lrs[3, 1] = 2.5
         with pytest.raises(DomainError, match="chain 1: unstable step size at step 4"):
-            sgd_monte_carlo_gap(lrs, 1.0, [1.0, 1.0], 1.0, trials=10, seed=0)
+            run_gap(gap, lrs, 1.0, [1.0, 1.0], 1.0)

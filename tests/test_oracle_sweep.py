@@ -2,10 +2,17 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from lrdual import ValidationError
-from lrdual.oracle import SweepGrid, SweepSchedule, run_noise_sweep, sweep
+from lrdual import ValidationError, lr_curve
+from lrdual.oracle import (
+    SweepGrid,
+    SweepSchedule,
+    run_noise_sweep,
+    sgd_quadratic_expected_gap,
+    sweep,
+)
 
 
 def small_grid(**overrides):
@@ -37,9 +44,14 @@ class TestGrid:
         with pytest.raises(ValidationError):
             small_grid(peak_lrs=())
 
-    def test_malformed_mapping(self):
-        with pytest.raises(ValidationError):
-            SweepGrid.from_mapping({"schedules": []})
+    @pytest.mark.parametrize(
+        "document",
+        [{"schedules": []}, [1, 2], {**dataclasses.asdict(small_grid()), "schedules": ["linear"]}],
+        ids=["no-axes", "list", "schedule-string"],
+    )
+    def test_malformed_mapping(self, document):
+        with pytest.raises(ValidationError, match="malformed sweep grid"):
+            SweepGrid.from_mapping(document)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -62,6 +74,40 @@ class TestGrid:
         with pytest.raises(ValidationError):
             run_noise_sweep(small_grid(**overrides), mode="monte-carlo")
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "document, key, accepted",
+        [
+            ({"extra": 1}, "'extra' in the grid", "schedules, peak_lrs, sigma2s, steps"),
+            ({"schedules": [{"kind": "linear"}, {"kind": "linear", "decay": 0.1}]},
+             "'decay' in schedule 1", "kind, decay_ratio, kind_params"),
+        ],
+        ids=["top-level", "schedule"],
+    )
+    def test_unknown_key_refused(self, document, key, accepted):
+        # a misspelt key used to fall back to its default
+        doc = {**dataclasses.asdict(small_grid()), **document}
+        with pytest.raises(ValidationError, match=f"unknown key {key}; it accepts .*{accepted}"):
+            SweepGrid.from_mapping(doc)
+
+    def test_array_axis_builds_the_grid(self):
+        # an array axis used to escape as numpy's ambiguous-truth ValueError
+        grid = small_grid(peak_lrs=np.array([0.05, 0.2]), steps=np.array([120]))
+        assert grid == small_grid()
+        assert grid.peak_lrs == (0.05, 0.2) and type(grid.steps) is tuple
+
+    def test_list_axes_stored_as_tuples_and_hashable(self):
+        grid = small_grid(
+            schedules=[SweepSchedule(kind="linear", decay_ratio=0.0),
+                       SweepSchedule(kind="constant", decay_ratio=1.0)],
+            peak_lrs=[0.05, 0.2], sigma2s=[0.0, 1.0], steps=[120], batches=[1, 4],
+        )
+        assert all(type(getattr(grid, name)) is tuple
+                   for name in ("schedules", "peak_lrs", "sigma2s", "steps", "batches"))
+        assert grid == small_grid()
+        assert hash(grid) == hash(small_grid())
+        wsd = SweepSchedule(kind="wsd", kind_params={"cooldown_fraction": 0.3})
+        assert len({small_grid(schedules=(wsd,)), small_grid(schedules=[wsd])}) == 1
 
     def test_integral_floats_accepted_as_integers(self):
         doc = dataclasses.asdict(small_grid())
@@ -125,6 +171,36 @@ class TestRun:
 def mc_gaps(results):
     """Monte Carlo gaps by cell key, schedule index left out."""
     return {r.sort_key()[:-1]: (r.gap_mc_mean, r.gap_mc_stderr) for r in results}
+
+
+class TestGroupedGaps:
+    """Both modes compute the gaps of one step count in one call per gap function."""
+
+    GRID = dict(steps=(120, 80), peak_lrs=(0.05, 0.2, 5.0))
+
+    @pytest.mark.parametrize("mode", ["analytic", "monte-carlo"])
+    def test_one_analytic_call_per_step_count(self, monkeypatch, mode):
+        calls = []
+        gap = sweep.sgd_quadratic_expected_gap
+        monkeypatch.setattr(
+            sweep, "sgd_quadratic_expected_gap", lambda *a: calls.append(a) or gap(*a)
+        )
+        results = run_noise_sweep(small_grid(**self.GRID), mode=mode, seed=3)
+        assert [args[0].shape for args in calls] == [(120, 16), (80, 16)]
+        assert sum(r.stable for r in results) == 32
+
+    @pytest.mark.parametrize("mode", ["analytic", "monte-carlo"])
+    def test_every_cell_is_its_one_chain_gap(self, mode):
+        grid = small_grid(**self.GRID)
+        results = run_noise_sweep(grid, mode=mode, seed=3)
+        assert {r.sigma2 for r in results} == {0.0, 1.0}
+        for r in results:
+            if not r.stable:
+                assert r.peak_lr == 5.0 and r.gap_analytic is None
+                continue
+            lrs = lr_curve(grid._specs[r.schedule_index, r.peak_lr, r.steps])
+            one = sgd_quadratic_expected_gap(lrs, grid.mu, r.sigma2 / r.batch, grid.d0)[-1]
+            assert np.float64(r.gap_analytic).tobytes() == one.tobytes()
 
 
 class TestCommonRandomNumbers:
