@@ -14,7 +14,7 @@ relies on this to choose numpy's BLAS thread count before numpy loads.
 
 import importlib
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 # The public names each submodule defines, the reverse lookup and ``__all__``.
 _EXPORTS = {

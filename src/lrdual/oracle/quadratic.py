@@ -6,7 +6,11 @@ variance ``s2`` and squared start distance ``d0``, SGD with step sizes
 
     e_t = (1 - lr_t * mu)^2 * e_{t-1} + lr_t^2 * s2,    e_0 = d0,
 
-which is stable while every ``lr_t * mu`` stays in [0, 2).
+which is stable while every ``lr_t * mu`` stays in [0, 2). Both gaps split
+into factors of the LR curve: ``e_T = A * d0 + B * s2``, and a trial ends at
+``theta_T - theta* = P * sqrt(d0) - sqrt(s2) * W``, where, with ``c_t = 1 -
+lr_t * mu``, ``A = prod c_t^2``, ``B = sum_i lr_i^2 prod_{j>i} c_j^2``, ``P =
+prod c_t`` and ``W = sum_i lr_i prod_{j>i} c_j z_i`` (a trial at unit noise).
 """
 
 from __future__ import annotations
@@ -79,27 +83,22 @@ def _first_unstable_step(lrs: np.ndarray, mu: float) -> Optional[int]:
     return int(bad[0]) + 1 if bad.size else None
 
 
-def _check_chains(
-    lrs: np.ndarray, mu: float, noise_var_eff: Union[float, Sequence[float]], d0: float
-) -> Tuple[np.ndarray, Union[float, np.ndarray], float]:
-    """Validate one chain (1-D ``lrs``, scalar variance) or time-major LR
-    columns ``(T, chains)`` with one variance per chain; return the step
-    sizes as float64 in the shape given, the variance as a float or one per
-    chain, and ``d0`` as a float. A column's fault names its chain."""
+def _check_chains(lrs: np.ndarray, mu: float, d0: float) -> Tuple[np.ndarray, float]:
+    """Validate one chain (a 1-D ``lrs``) or time-major LR columns
+    ``(T, chains)``; return the step sizes as float64 in the shape given and
+    ``d0`` as a float. A column's fault names its chain."""
     mu = check_real("mu", mu, bounds="()")
     d0 = check_real("d0", d0)
-    one = np.ndim(noise_var_eff) == 0
-    variances = [noise_var_eff] if one else list(noise_var_eff)
+    try:
+        one = np.ndim(lrs) < 2
+    except ValueError:  # a ragged nesting, which _lr_array refuses
+        one = True
     table = lrs if one else np.asarray(lrs)
-    if not one and (table.ndim != 2 or table.shape[1] != len(variances) or not variances):
-        raise ValidationError(
-            f"LR columns must have shape (T, {len(variances)}), one per noise variance, "
-            f"got shape {table.shape}"
-        )
-    for c, var in enumerate(variances):
+    if not one and (table.ndim != 2 or not table.shape[1]):
+        raise ValidationError(f"LR columns must have shape (T, chains), got shape {table.shape}")
+    for c, column in enumerate([table] if one else table.T):
         try:
-            variances[c] = check_real("noise_var_eff", var)
-            column = _lr_array(table if one else table[:, c])
+            column = _lr_array(column)
             step = _first_unstable_step(column, mu)
             if step is not None:
                 raise DomainError(
@@ -108,26 +107,26 @@ def _check_chains(
                 )
         except (DomainError, ValidationError) as exc:
             raise exc if one else type(exc)(f"chain {c}: {exc}") from None
-    if one:
-        return column, variances[0], d0
-    return table.astype(np.float64, copy=False), np.array(variances), d0
+    return (column if one else table.astype(np.float64, copy=False)), d0
 
 
 def sgd_quadratic_expected_gap(
     lrs: np.ndarray,
     mu: float,
-    noise_var_eff: Union[float, Sequence[float]],
+    noise_var_eff: float,
     d0: float,
 ) -> np.ndarray:
     """Exact expected squared distances ``e_1..e_T`` for 1-D SGD.
 
-    Takes what :func:`sgd_monte_carlo_gap` takes: one chain gives its ``T``
-    gaps, LR columns ``(T, chains)`` a ``(T, chains)`` array whose column
-    ``c`` equals the one-chain result for ``lrs[:, c]`` bit for bit.
+    One chain gives its ``T`` gaps, LR columns ``(T, chains)`` at the one
+    variance of every chain a ``(T, chains)`` array whose column ``c``
+    equals the one-chain result for ``lrs[:, c]`` bit for bit.
     """
-    lrs, noise_var_eff, e = _check_chains(lrs, mu, noise_var_eff, d0)
+    lrs, e = _check_chains(lrs, mu, d0)
+    noise_var_eff = check_real("noise_var_eff", noise_var_eff)
     contractions = np.square(1.0 - lrs * mu)
-    gaps = lrs * lrs  # the noise injections, each overwritten by its gap
+    # the noise injections, each overwritten by its gap; 0 * inf would be nan
+    gaps = lrs * lrs if noise_var_eff else np.zeros_like(lrs)
     gaps *= noise_var_eff
     for t in range(len(lrs)):
         e = contractions[t] * e + gaps[t]
@@ -135,32 +134,40 @@ def sgd_quadratic_expected_gap(
     return gaps
 
 
-# A chunk of chains holds about this many bytes of LR rows and trial rows
-# (the chain values and one noise product), so the Monte Carlo memory stays
-# flat in the number of chains.
+# Bytes of trial rows (W, a noise product and the final distances at one
+# variance) per chunk of chains, so memory stays flat in the number of chains.
 _CHUNK_BYTES = 1 << 20
 
 
 def _final_gaps(
-    lrs: np.ndarray, stds: np.ndarray, mu: float, start: float, trials: int, seed: int
+    table: np.ndarray, stds: np.ndarray, mu: float, start: float, trials: int, seed: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Mean final squared distance and its standard error of each column of
-    ``lrs``; the chains are all noisy or all noiseless."""
-    with allocation_guard("trials", trials):
-        final_sq = np.empty((lrs.shape[1], trials))
-    noisy = bool(stds[0] > 0)
-    # every trial of a noiseless chain is the same, so one column stands for all
-    theta = final_sq if noisy else np.empty((lrs.shape[1], 1))
-    theta[...] = start
-    noise = np.empty_like(theta) if noisy else None
-    for t, lr in enumerate(lrs, 1):
-        # theta = (1 - lr * mu) * theta - (lr * std) * z, in place
-        theta *= (1.0 - lr * mu)[:, None]
-        if noisy:
-            np.multiply(normal_field(seed, t, trials), (lr * stds)[:, None], out=noise)
-            theta -= noise
-    np.multiply(theta, theta, out=final_sq)
-    return final_sq.mean(axis=1), final_sq.std(axis=1, ddof=1) / math.sqrt(trials)
+    ``table`` at each noise standard deviation, as ``(columns, stds)`` arrays."""
+    means, stderrs = np.empty((2, table.shape[1], stds.size))
+    noisy = bool(stds.max() > 0)
+    per_chunk = max(1, _CHUNK_BYTES // (24 * trials))
+    for lo in range(0, table.shape[1], per_chunk):
+        chunk = slice(lo, lo + per_chunk)
+        lrs = table[:, chunk]
+        with allocation_guard("trials", trials):
+            theta = np.empty((lrs.shape[1], trials))  # the final distances at one variance
+            w, noise = (np.zeros_like(theta), np.empty_like(theta)) if noisy else (None, None)
+        p = np.full(lrs.shape[1], start)
+        for t, lr in enumerate(lrs, 1):
+            contraction = 1.0 - lr * mu
+            p *= contraction
+            if noisy:
+                w *= contraction[:, None]
+                w += np.multiply(normal_field(seed, t, trials), lr[:, None], out=noise)
+        for v, std in enumerate(stds):
+            theta[...] = p[:, None]
+            if std > 0:
+                theta -= np.multiply(w, std, out=noise)
+            theta *= theta
+            means[chunk, v] = theta.mean(axis=1)
+            stderrs[chunk, v] = theta.std(axis=1, ddof=1) / math.sqrt(trials)
+    return means, stderrs
 
 
 def sgd_monte_carlo_gap(
@@ -173,28 +180,25 @@ def sgd_monte_carlo_gap(
 ) -> Tuple[Union[float, np.ndarray], Union[float, np.ndarray]]:
     """Simulated mean final squared distance and its standard error.
 
-    Runs ``trials`` 1-D SGD chains; trial ``k`` reads coordinate ``k`` of
-    the noise field keyed by ``(seed, step)``. A 1-D ``lrs`` with a scalar
-    ``noise_var_eff`` returns two floats. Time-major LR columns ``(T, chains)``
-    with one noise variance per chain return two arrays of length ``chains``:
-    every chain reads the same fields (common random numbers), so column
-    ``c`` equals the 1-D run of ``lrs[:, c]`` on the same seed, bit for bit.
-    Noiseless chains draw nothing. Chains advance in chunks of about
-    ``_CHUNK_BYTES``; each chunk draws the fields again, so the results do
-    not depend on the chunking.
+    Runs ``trials`` 1-D SGD chains per LR column, trial ``k`` reading
+    coordinate ``k`` of the noise field keyed by ``(seed, step)`` and ending
+    at ``P * sqrt(d0) - sqrt(s2) * W`` for each variance ``s2``. A 1-D ``lrs``
+    at one variance gives two floats, LR columns ``(T, chains)`` or a 1-D
+    sequence of variances two arrays of shape ``lrs.shape[1:] +
+    np.shape(noise_var_eff)``. All columns read the same fields (common random
+    numbers), so each entry equals the 1-D run of its column at its variance
+    bit for bit, whatever the chunks of about ``_CHUNK_BYTES`` the columns
+    advance in. Nothing is drawn when every variance is 0.
     """
     check_count("trials", trials, minimum=2)
-    lrs, variances, d0 = _check_chains(lrs, mu, noise_var_eff, d0)
-    table, stds = lrs.reshape(len(lrs), -1), np.sqrt(np.reshape(variances, -1))
-    steps, chains = table.shape
-    per_chunk = max(1, _CHUNK_BYTES // (8 * (steps + 2 * trials)))
-    means, stderrs = np.empty(chains), np.empty(chains)
-    for group in (np.flatnonzero(stds > 0), np.flatnonzero(stds == 0)):
-        for lo in range(0, group.size, per_chunk):
-            cols = group[lo : lo + per_chunk]
-            means[cols], stderrs[cols] = _final_gaps(
-                table[:, cols], stds[cols], mu, math.sqrt(d0), trials, seed
-            )
-    if np.ndim(noise_var_eff) == 0:
-        return float(means[0]), float(stderrs[0])
-    return means, stderrs
+    lrs, d0 = _check_chains(lrs, mu, d0)
+    variances = np.array(noise_var_eff, dtype=object)
+    if variances.ndim > 1 or not variances.size:
+        raise ValidationError(f"noise_var_eff must be a number or a non-empty 1-D sequence of "
+                              f"them, got shape {variances.shape}")
+    stds = np.sqrt([check_real("noise_var_eff", var) for var in variances.flat])
+    means, stderrs = _final_gaps(lrs.reshape(len(lrs), -1), stds, mu, math.sqrt(d0), trials, seed)
+    shape = lrs.shape[1:] + variances.shape
+    if not shape:
+        return float(means[0, 0]), float(stderrs[0, 0])
+    return means.reshape(shape), stderrs.reshape(shape)

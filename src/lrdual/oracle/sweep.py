@@ -5,11 +5,15 @@ variances, step counts and batch sizes. Making a grid builds the schedule of
 every cell, so a bad entry is refused before any cell runs; unstable cells
 are flagged in the output rather than dropped.
 
-The stable cells of one step count are the LR columns of one exact-gap call
-and, in Monte Carlo mode, one simulation with common random numbers: every
-cell reads the same noise field at each step, keyed by one grid seed derived
-from the base seed. A cell's result therefore depends only on its own
-schedule, noise level and the base seed, not on the other cells.
+The sweep runs one chain per stable LR curve (schedule, peak, step count):
+the noise axes enter only through ``s2 = sigma2 / batch``, and a cell's exact
+gap is ``A * d0 + B * s2`` and its Monte Carlo trials end at ``P * sqrt(d0) -
+sqrt(s2) * W``, with factors of the curve (see :mod:`lrdual.oracle.quadratic`).
+The curves of one step count are the LR columns of two exact-gap calls and,
+in Monte Carlo mode, of one simulation at every ``s2`` with common random
+numbers: each curve reads the same noise field at each step, keyed by one
+grid seed derived from the base seed. A cell's result therefore depends only
+on its own LR curve, ``s2`` and the base seed, not on the other cells.
 """
 
 from __future__ import annotations
@@ -199,28 +203,33 @@ def _run_cell(
     return result
 
 
-def _grouped_gaps(grid: SweepGrid, cells, mode: str, base_seed: int) -> dict:
-    """The gaps of the stable cells by cell index, as ``_run_cell`` takes
-    them: one call of each gap function per step count."""
-    stable = {}  # the LR curve of each stable (schedule, peak, steps)
-    for key, spec in grid._specs.items():
+def _curve_gaps(grid: SweepGrid, mode: str, base_seed: int) -> dict:
+    """The gaps of each stable LR curve (schedule, peak, steps) at each ``s2``
+    of the grid, as ``_run_cell`` takes them, from two exact-gap calls and, in
+    Monte Carlo mode, one simulation at every ``s2`` per step count."""
+    curves = {}  # step count -> the LR curve of each stable (schedule, peak)
+    for (k, peak, total), spec in grid._specs.items():
         lrs = lr_curve(spec)
         if _first_unstable_step(lrs, grid.mu) is None:
-            stable[key] = lrs
-    chains = {}  # step count -> (index, LR column, noise variance) of each stable cell
-    for index, (k, peak, sigma2, total, batch) in cells:
-        if (k, peak, total) in stable:
-            chains.setdefault(total, []).append((index, stable[k, peak, total], sigma2 / batch))
+            curves.setdefault(total, {})[k, peak] = lrs
+    ratios = list(dict.fromkeys(s / b for s, b in product(grid.sigma2s, grid.batches)))
     # deriving the seed imports numpy.random, which analytic sweeps do without
     seed = derive_seed(base_seed, 0) if mode == "monte-carlo" else None
     gaps = {}
-    for members in chains.values():
-        indices, columns, variances = zip(*members)
-        chain_args = (np.column_stack(columns), grid.mu, variances, grid.d0)
-        found = [sgd_quadratic_expected_gap(*chain_args)[-1].copy()]  # copied: the table is freed
+    for total, stable in curves.items():
+        keys = list(stable)
+        table = np.column_stack([stable.pop(key) for key in keys])  # now the curves' one copy
+        # A * d0 and B, as lists so that the gap tables are freed
+        bias, unit = (sgd_quadratic_expected_gap(table, grid.mu, s2, d0)[-1].tolist()
+                      for s2, d0 in ((0.0, grid.d0), (1.0, 0.0)))
+        mc = []  # the Monte Carlo means and standard errors by curve and s2
         if seed is not None:
-            found += sgd_monte_carlo_gap(*chain_args, trials=grid.trials, seed=seed)
-        gaps.update(zip(indices, zip(*(values.tolist() for values in found))))
+            mc = [values.tolist() for values in sgd_monte_carlo_gap(
+                table, grid.mu, ratios, grid.d0, trials=grid.trials, seed=seed)]
+        for c, (k, peak) in enumerate(keys):
+            for r, s2 in enumerate(ratios):
+                gaps[k, peak, total, s2] = (bias[c] + unit[c] * s2 if s2 else bias[c],
+                                            *(values[c][r] for values in mc))
     return gaps
 
 
@@ -238,9 +247,10 @@ def run_noise_sweep(
     # Finite grid values can still overflow; a cell whose gap does is
     # refused by _run_cell instead of warned about and written as inf or nan.
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = _grouped_gaps(grid, cells, mode, seed)
+        gaps = _curve_gaps(grid, mode, seed)
         results = [
-            _run_cell(index, grid._specs[k, peak, total], k, sigma2, batch, gaps.get(index))
+            _run_cell(index, grid._specs[k, peak, total], k, sigma2, batch,
+                      gaps.get((k, peak, total, sigma2 / batch)))
             for index, (k, peak, sigma2, total, batch) in cells
         ]
     return sorted(results, key=SweepCellResult.sort_key)

@@ -121,10 +121,11 @@ def test_piecewise_lr_curve_reads_its_multipliers_in_place():
 
 
 def test_monte_carlo_sweep_holds_chunks_not_all_chains():
-    # 400 cells x 2000 trials: one array of every chain would be 6.4 MB. The
-    # sweep holds the grid's LR columns (0.32 MB), one chunk of chains at a
-    # time (its LR rows, chain values and noise product, about 1 MiB, plus
-    # the variance's temporary) and the 400 results (about 1 MB).
+    # 400 cells x 2000 trials: one array of every cell's trials would be
+    # 6.4 MB. The sweep runs one chain per LR curve (20 of them), a chunk at a
+    # time (W, a noise product and the final distances at one variance, about
+    # 1 MiB, plus the standard deviation's temporary), and holds the 400
+    # results: 1.39 MB measured.
     from lrdual.oracle import SweepGrid, run_noise_sweep
 
     grid = SweepGrid.from_mapping({
@@ -135,17 +136,23 @@ def test_monte_carlo_sweep_holds_chunks_not_all_chains():
     assert traced_peak(run_noise_sweep, grid, "monte-carlo", 1) <= 4 * 2**20
 
 
-def test_analytic_sweep_holds_three_column_tables():
-    # The exact gap of one step count holds the grid's LR columns, their
-    # contractions and the gaps, which overwrite the noise injections in
-    # place: three (T, chains) tables, plus the 20 schedule curves (a
-    # quarter of a table) that the columns are stacked from.
+@pytest.mark.parametrize("batches", [[1, 4], list(range(1, 21))], ids=["80-cells", "800-cells"])
+@pytest.mark.parametrize("mode", ["analytic", "monte-carlo"])
+def test_sweep_holds_tables_of_lr_curves_not_cells(mode, batches):
+    # 20 stable LR curves of 2000 steps, whatever the number of (sigma2,
+    # batch) pairs. The exact gaps hold the curves' table, their contractions
+    # and the gaps; the Monte Carlo holds the table and one chunk of trial rows
+    # (W, a noise product, the final distances at one variance and the standard
+    # deviation's temporary: two tables at 1000 trials). Measured 3.07 and 3.13
+    # tables analytic, 3.28 and 3.39 Monte Carlo; one chain per cell made
+    # 13.3 tables at 80 cells and 121 at 800.
     from lrdual.oracle import SweepGrid, run_noise_sweep
 
     grid = SweepGrid.from_mapping({
         "schedules": [{"kind": k} for k in ("linear", "cosine", "constant", "wsd", "invsqrt")],
         "peak_lrs": [0.02, 0.05, 0.1, 0.2], "sigma2s": [0.0, 1.0], "steps": [2000],
-        "batches": [1, 4],
+        "batches": batches,
     })
-    table = 8 * 2000 * 80
-    assert traced_peak(run_noise_sweep, grid, "analytic", 1) <= 3.5 * table
+    run_noise_sweep(grid, mode, 1)  # loads numpy.random in Monte Carlo mode
+    table = 8 * 2000 * 20
+    assert traced_peak(run_noise_sweep, grid, mode, 1) <= 3.5 * table

@@ -1,10 +1,14 @@
 """Analytic gap recursion, its stability rule, and Monte Carlo agreement."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from lrdual import DomainError, ValidationError
 from lrdual.oracle import QuadraticProblem, sgd_monte_carlo_gap, sgd_quadratic_expected_gap
+from lrdual.oracle.rng import normal_field
 
 
 def run_gap(gap, lrs, mu, noise_var_eff, d0):
@@ -12,6 +16,11 @@ def run_gap(gap, lrs, mu, noise_var_eff, d0):
     if gap == "analytic":
         return sgd_quadratic_expected_gap(lrs, mu, noise_var_eff, d0)
     return sgd_monte_carlo_gap(lrs, mu, noise_var_eff, d0, trials=10, seed=0)
+
+
+def ulps(value, exact):
+    """Distance of a float from an exact rational, in ulps of the rational."""
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact)))
 
 
 class TestQuadraticProblem:
@@ -112,26 +121,41 @@ class TestMonteCarlo:
         assert a != c
 
     def test_bit_pin(self):
-        # recorded before the chain update became in place; any reordering
-        # of its floating-point operations changes the repr
+        # recorded when each trial's final distance became P * sqrt(d0) -
+        # sqrt(s2) * W; the direct recursion gave the same mean and a standard
+        # error of 0.0002493231851922123. Any reordering of its floating-point
+        # operations changes the repr
         lrs = np.linspace(0.05, 0.001, 300)
         result = sgd_monte_carlo_gap(lrs, 1.0, 0.7, 1.5, trials=500, seed=11)
-        assert repr(result) == "(0.0038783169478009095, 0.0002493231851922123)"
+        assert repr(result) == "(0.0038783169478009095, 0.00024932318519221223)"
 
     def test_needs_trials(self):
         with pytest.raises(ValidationError):
             sgd_monte_carlo_gap(np.full(5, 0.1), 1.0, 1.0, 1.0, trials=1, seed=0)
 
-    @pytest.mark.parametrize("gap", ["analytic", "monte-carlo"])
     @pytest.mark.parametrize(
-        "mu, noise_var_eff, d0",
+        "gap, mu, noise_var_eff, d0",
         [
-            (float("nan"), 1.0, 1.0),
-            (0.0, 1.0, 1.0),
-            (1.0, -1.0, 1.0),
-            (1.0, float("nan"), 1.0),
-            (1.0, 1.0, -1.0),
-            (1.0, 1.0, float("inf")),
+            *[(gap, *args) for gap in ("analytic", "monte-carlo") for args in [
+                (float("nan"), 1.0, 1.0),
+                (0.0, 1.0, 1.0),
+                (1.0, -1.0, 1.0),
+                (1.0, float("nan"), 1.0),
+                (1.0, True, 1.0),
+                (1.0, 1.0, -1.0),
+                (1.0, 1.0, float("inf")),
+            ]],
+            # one variance for every chain of the exact gap
+            ("analytic", 1.0, [1.0, 2.0], 1.0),
+            ("analytic", 1.0, np.array([1.0]), 1.0),
+            # the Monte Carlo takes one variance or a non-empty 1-D sequence
+            ("monte-carlo", 1.0, [], 1.0),
+            ("monte-carlo", 1.0, np.full((2, 1), 1.0), 1.0),
+            ("monte-carlo", 1.0, [[1.0], [1.0, 2.0]], 1.0),
+            ("monte-carlo", 1.0, [1.0, -1.0], 1.0),
+            ("monte-carlo", 1.0, [1.0, float("nan")], 1.0),
+            ("monte-carlo", 1.0, [1.0, True], 1.0),
+            ("monte-carlo", 1.0, np.array([True]), 1.0),
         ],
     )
     def test_chain_inputs_checked(self, gap, mu, noise_var_eff, d0):
@@ -149,17 +173,17 @@ class TestMonteCarlo:
         "lrs, message",
         [
             (np.array([]), r"non-empty 1-D array, got shape \(0,\)"),
-            (np.full((2, 3), 0.1), r"non-empty 1-D array, got shape \(2, 3\)"),
+            (np.full((2, 3, 1), 0.1), r"shape \(T, chains\), got shape \(2, 3, 1\)"),
             (np.array(0.1), r"non-empty 1-D array, got shape \(\)"),
             (np.array([0.1, -0.1]), "learning rate -0.1 at step 2"),
             (np.array([0.1, np.inf]), "learning rate inf at step 2"),
             (["0.1", "x"], "learning rates must be numbers"),
         ],
-        ids=["empty", "2-d", "0-d", "negative", "infinite", "strings"],
+        ids=["empty", "3-d", "0-d", "negative", "infinite", "strings"],
     )
     def test_lr_array_checked(self, gap, lrs, message):
         # the schedule layer's LR-array rule: no run happens on an empty array,
-        # and no bad shape escapes as a numpy error
+        # and no bad shape escapes as a numpy error; a 2-D array is LR columns
         with pytest.raises(ValidationError, match=message):
             if gap == "analytic":
                 sgd_quadratic_expected_gap(lrs, 1.0, 1.0, 1.0)
@@ -178,28 +202,43 @@ class TestMonteCarlo:
 
 
 class TestMonteCarloChains:
-    """Time-major LR columns with one noise variance per chain, taken by both
-    gap functions."""
+    """Time-major LR columns, taken by both gap functions with one noise
+    variance for every chain, and by the Monte Carlo with a sequence of them."""
 
     LRS = np.column_stack([
         np.linspace(0.3, 0.0, 150), np.full(150, 0.05), np.linspace(0.01, 0.4, 150),
         np.linspace(0.3, 0.0, 150), np.full(150, 1.9),
     ])
-    VARIANCES = [0.5, 0.0, 2.0, 0.0, 1e-3]
+    VARIANCES = [0.5, 0.0, 2.0, 1e-3]
 
-    def test_each_column_equals_its_one_chain_run(self):
+    def test_each_entry_equals_its_one_chain_run(self):
         means, stderrs = sgd_monte_carlo_gap(self.LRS, 1.0, self.VARIANCES, 1.5, trials=300,
                                              seed=17)
-        assert means.shape == stderrs.shape == (5,)
-        for c, var in enumerate(self.VARIANCES):
-            one = sgd_monte_carlo_gap(self.LRS[:, c], 1.0, var, 1.5, trials=300, seed=17)
-            assert (means[c], stderrs[c]) == one
+        assert means.shape == stderrs.shape == (5, 4)
+        for c in range(5):
+            for v, var in enumerate(self.VARIANCES):
+                one = sgd_monte_carlo_gap(self.LRS[:, c], 1.0, var, 1.5, trials=300, seed=17)
+                assert (means[c, v], stderrs[c, v]) == one
 
-    def test_each_expected_gap_column_equals_its_one_chain_run(self):
-        gaps = sgd_quadratic_expected_gap(self.LRS, 1.0, self.VARIANCES, 1.5)
+    @pytest.mark.parametrize(
+        "lrs, variances, shape",
+        [(LRS[:, 0], 0.5, None), (LRS[:, 0], [0.5, 0.0], (2,)), (LRS, 0.5, (5,)),
+         (LRS, [0.5], (5, 1))],
+        ids=["one-one", "one-many", "many-one", "many-many"],
+    )
+    def test_result_shape_is_columns_by_variances(self, lrs, variances, shape):
+        result = sgd_monte_carlo_gap(lrs, 1.0, variances, 1.5, trials=40, seed=17)
+        if shape is None:
+            assert all(type(x) is float for x in result)
+        else:
+            assert result[0].shape == result[1].shape == shape
+
+    @pytest.mark.parametrize("variance", [0.5, 0.0])
+    def test_each_expected_gap_column_equals_its_one_chain_run(self, variance):
+        gaps = sgd_quadratic_expected_gap(self.LRS, 1.0, variance, 1.5)
         assert gaps.shape == self.LRS.shape
-        for c, var in enumerate(self.VARIANCES):
-            one = sgd_quadratic_expected_gap(self.LRS[:, c], 1.0, var, 1.5)
+        for c in range(5):
+            one = sgd_quadratic_expected_gap(self.LRS[:, c], 1.0, variance, 1.5)
             assert gaps[:, c].tobytes() == one.tobytes()
 
     def test_noiseless_chain_equals_a_full_width_run(self):
@@ -211,6 +250,10 @@ class TestMonteCarloChains:
         final_sq = theta * theta
         expected = (float(final_sq.mean()), float(final_sq.std(ddof=1) / np.sqrt(300)))
         assert sgd_monte_carlo_gap(self.LRS[:, 1], 1.0, 0.0, 1.5, trials=300, seed=0) == expected
+        # at a variance of 0 beside noisy ones, W is computed and not read
+        means, stderrs = sgd_monte_carlo_gap(self.LRS[:, 1], 1.0, [2.0, 0.0], 1.5, trials=300,
+                                             seed=0)
+        assert (means[1], stderrs[1]) == expected
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         from lrdual.oracle import quadratic
@@ -219,14 +262,14 @@ class TestMonteCarloChains:
         drawn = []
         field = quadratic.normal_field
         monkeypatch.setattr(quadratic, "normal_field", lambda *a: drawn.append(a) or field(*a))
-        # one chain per chunk: each of the three noisy chunks draws its fields
+        # one chain per chunk: each of the five chunks draws its fields
         monkeypatch.setattr(quadratic, "_CHUNK_BYTES", 8)
         chunked = sgd_monte_carlo_gap(self.LRS, 1.0, self.VARIANCES, 1.5, trials=300, seed=17)
-        assert len(drawn) == 3 * 150
+        assert len(drawn) == 5 * 150
         np.testing.assert_array_equal(chunked[0], whole[0])
         np.testing.assert_array_equal(chunked[1], whole[1])
 
-    def test_one_field_per_step_and_none_for_noiseless_chains(self, monkeypatch):
+    def test_one_field_per_step_and_none_without_noise(self, monkeypatch):
         from lrdual.oracle import quadratic
 
         drawn = []
@@ -239,26 +282,71 @@ class TestMonteCarloChains:
         assert drawn == []
 
     @pytest.mark.parametrize(
-        "lrs, variances, message",
+        "lrs, message",
         [
-            (np.full((5, 2), 0.1), [1.0], r"shape \(T, 1\), one per noise variance, got shape "
-                                          r"\(5, 2\)"),
-            (np.full(5, 0.1), [1.0], r"shape \(T, 1\), one per noise variance, got shape \(5,\)"),
-            (np.full((5, 0), 0.1), [], r"shape \(T, 0\)"),
-            (np.full((5, 2), 0.1), [1.0, -1.0], "chain 1: noise_var_eff must be"),
-            (np.array([[0.1, 0.1], [0.1, -0.1]]), [1.0, 1.0],
-             "chain 1: learning rate -0.1 at step 2"),
+            (np.full((5, 0), 0.1), r"shape \(T, chains\), got shape \(5, 0\)"),
+            (np.full((0, 2), 0.1), r"chain 0: learning rates must be a non-empty 1-D array"),
+            (np.array([[0.1, 0.1], [0.1, -0.1]]), "chain 1: learning rate -0.1 at step 2"),
+            ([["0.1", "0.1"], ["0.1", "x"]], "chain 1: learning rates must be numbers"),
         ],
-        ids=["columns", "1-d", "no-chains", "variance", "lr"],
+        ids=["no-chains", "no-steps", "lr", "strings"],
     )
     @pytest.mark.parametrize("gap", ["analytic", "monte-carlo"])
-    def test_columns_checked(self, gap, lrs, variances, message):
+    def test_columns_checked(self, gap, lrs, message):
         with pytest.raises(ValidationError, match=message):
-            run_gap(gap, lrs, 1.0, variances, 1.0)
+            run_gap(gap, lrs, 1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("gap", ["analytic", "monte-carlo"])
     def test_unstable_column_is_named(self, gap):
         lrs = np.full((5, 2), 0.1)
         lrs[3, 1] = 2.5
         with pytest.raises(DomainError, match="chain 1: unstable step size at step 4"):
-            run_gap(gap, lrs, 1.0, [1.0, 1.0], 1.0)
+            run_gap(gap, lrs, 1.0, 1.0, 1.0)
+
+
+class TestExactReferences:
+    """The exact gap's factors and the Monte Carlo's final distances against
+    exact rational recursions on the same float inputs and noise draws."""
+
+    LRS = np.linspace(0.6, 0.05, 12)
+    MU = 1.3
+    D0 = 2.25  # its square root, 1.5, is exact
+
+    @pytest.mark.parametrize(
+        "s2, d0, bound",
+        [(0.0, D0, 3.5), (1.0, 0.0, 1.0), (0.7, D0, 2.0)],
+        ids=["A*d0", "B", "direct"],
+    )
+    def test_expected_gap_factors(self, s2, d0, bound):
+        # measured 3.10, 0.73 and 1.54 ulps; every step rounds lr * mu and
+        # the contraction's square, and A carries those roundings through
+        gaps = sgd_quadratic_expected_gap(self.LRS, self.MU, s2, d0).tolist()
+        e, mu = Fraction(d0), Fraction(self.MU)
+        for t, lr in enumerate(map(Fraction, self.LRS.tolist())):
+            e = (1 - lr * mu) ** 2 * e + lr * lr * Fraction(s2)
+            assert ulps(gaps[t], e) <= bound
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_final_distance_is_p_minus_std_times_w(self, seed):
+        # P * sqrt(d0) - sqrt(s2) * W against the direct recursion
+        # theta_t = (1 - lr mu) theta - lr sqrt(s2) z_t, run exactly on the
+        # same draws: mean within 4 ulps (3.76 measured, at the noiseless
+        # variance), standard error within 2 (1.53 measured)
+        variances, trials = [0.0, 0.25, 2.25], 16  # standard deviations 0, 0.5, 1.5
+        means, stderrs = sgd_monte_carlo_gap(self.LRS, self.MU, variances, self.D0,
+                                             trials=trials, seed=seed)
+        mu = Fraction(self.MU)
+        draws = [[Fraction(z) for z in normal_field(seed, t, trials).tolist()]
+                 for t in range(1, len(self.LRS) + 1)]
+        for v, var in enumerate(variances):
+            std = Fraction(math.sqrt(var))
+            theta = [Fraction(math.sqrt(self.D0))] * trials
+            for lr, z in zip(map(Fraction, self.LRS.tolist()), draws):
+                theta = [(1 - lr * mu) * th - lr * std * zk for th, zk in zip(theta, z)]
+            squares = [th * th for th in theta]
+            mean = sum(squares) / trials
+            assert ulps(means[v], mean) <= 4
+            if var:
+                sq_stderr = sum((x - mean) ** 2 for x in squares) / ((trials - 1) * trials)
+                stderr = Fraction(math.isqrt(math.floor(sq_stderr * 4**200)), 2**200)
+                assert ulps(stderrs[v], stderr) <= 2

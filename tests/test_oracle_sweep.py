@@ -1,6 +1,8 @@
 """Sweep harness: determinism, grid validation, stability flags, shared noise."""
 
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from lrdual.oracle import (
     SweepGrid,
     SweepSchedule,
     run_noise_sweep,
+    sgd_monte_carlo_gap,
     sgd_quadratic_expected_gap,
     sweep,
 )
@@ -168,25 +171,45 @@ class TestRun:
             run_noise_sweep(small_grid(), mode="bogus")
 
 
-def mc_gaps(results):
-    """Monte Carlo gaps by cell key, schedule index left out."""
-    return {r.sort_key()[:-1]: (r.gap_mc_mean, r.gap_mc_stderr) for r in results}
+def cell_gaps(results):
+    """The repr of every cell's gaps by cell key, schedule index left out;
+    equal reprs are equal bytes."""
+    return {
+        r.sort_key()[:-1]: repr((r.gap_analytic, r.gap_mc_mean, r.gap_mc_stderr))
+        for r in results
+    }
+
+
+def reference_gap(lrs, mu, s2, d0, bits=200):
+    """The exact gap recursion on the float inputs, every step rounded down
+    to ``bits`` fractional bits."""
+    mu, s2, scale = Fraction(mu), Fraction(s2), 2**bits
+    e = int(Fraction(d0) * scale)
+    for lr in map(Fraction, lrs.tolist()):
+        contraction, injection = (1 - lr * mu) ** 2, lr * lr * s2 * scale
+        e = e * contraction.numerator // contraction.denominator + int(injection)
+    return Fraction(e, scale)
 
 
 class TestGroupedGaps:
-    """Both modes compute the gaps of one step count in one call per gap function."""
+    """Both modes compute the gaps of one step count from one column per
+    stable LR curve: A * d0 and B in two exact-gap calls, and the Monte
+    Carlo at every noise ratio in one more."""
 
     GRID = dict(steps=(120, 80), peak_lrs=(0.05, 0.2, 5.0))
 
     @pytest.mark.parametrize("mode", ["analytic", "monte-carlo"])
-    def test_one_analytic_call_per_step_count(self, monkeypatch, mode):
+    def test_two_exact_calls_per_step_count(self, monkeypatch, mode):
         calls = []
         gap = sweep.sgd_quadratic_expected_gap
         monkeypatch.setattr(
             sweep, "sgd_quadratic_expected_gap", lambda *a: calls.append(a) or gap(*a)
         )
         results = run_noise_sweep(small_grid(**self.GRID), mode=mode, seed=3)
-        assert [args[0].shape for args in calls] == [(120, 16), (80, 16)]
+        # 2 schedules x 2 stable peaks, whatever the 4 (sigma2, batch) pairs
+        assert [(args[0].shape, args[2], args[3]) for args in calls] == [
+            ((120, 4), 0.0, 1.0), ((120, 4), 1.0, 0.0), ((80, 4), 0.0, 1.0), ((80, 4), 1.0, 0.0)
+        ]
         assert sum(r.stable for r in results) == 32
 
     @pytest.mark.parametrize("mode", ["analytic", "monte-carlo"])
@@ -199,8 +222,40 @@ class TestGroupedGaps:
                 assert r.peak_lr == 5.0 and r.gap_analytic is None
                 continue
             lrs = lr_curve(grid._specs[r.schedule_index, r.peak_lr, r.steps])
-            one = sgd_quadratic_expected_gap(lrs, grid.mu, r.sigma2 / r.batch, grid.d0)[-1]
-            assert np.float64(r.gap_analytic).tobytes() == one.tobytes()
+            s2 = r.sigma2 / r.batch
+            direct = float(sgd_quadratic_expected_gap(lrs, grid.mu, s2, grid.d0)[-1])
+            bias = float(sgd_quadratic_expected_gap(lrs, grid.mu, 0.0, grid.d0)[-1])
+            unit = float(sgd_quadratic_expected_gap(lrs, grid.mu, 1.0, 0.0)[-1])
+            if s2 == 0:
+                assert repr(r.gap_analytic) == repr(bias) == repr(direct)
+            else:
+                assert repr(r.gap_analytic) == repr(bias + unit * s2)
+                # the direct recursion is what each cell ran before
+                assert abs(r.gap_analytic - direct) <= 21 * math.ulp(direct)
+            if mode == "monte-carlo":
+                one = sgd_monte_carlo_gap(lrs, grid.mu, s2, grid.d0, trials=grid.trials,
+                                          seed=sweep.derive_seed(3, 0))
+                assert repr((r.gap_mc_mean, r.gap_mc_stderr)) == repr(one)
+
+    def test_noisy_cells_within_eleven_ulps_of_a_200_bit_reference(self):
+        # an oracle-workload grid (its seed 7) at 2000 steps: A * d0 + B * s2
+        # is within 10.2 ulps of the reference on its 18 noisy cells, and the
+        # direct recursion each cell ran before within 17.2
+        grid = SweepGrid.from_mapping({
+            "schedules": [
+                {"kind": "linear", "decay_ratio": 0.0},
+                {"kind": "cosine", "decay_ratio": 0.0},
+                {"kind": "constant", "decay_ratio": 1.0},
+            ],
+            "peak_lrs": [0.1534, 0.2337, 0.4682], "sigma2s": [0.0, 1.445], "steps": [2000],
+            "batches": [1, 4], "mu": 1.0, "d0": 1.0, "warmup_frac": 0.1, "trials": 1000,
+        })
+        noisy = [r for r in run_noise_sweep(grid, mode="analytic") if r.sigma2 > 0]
+        assert len(noisy) == 18
+        for r in noisy:
+            lrs = lr_curve(grid._specs[r.schedule_index, r.peak_lr, r.steps])
+            exact = reference_gap(lrs, grid.mu, r.sigma2 / r.batch, grid.d0)
+            assert abs(Fraction(r.gap_analytic) - exact) <= 11 * Fraction(math.ulp(float(exact)))
 
 
 class TestCommonRandomNumbers:
@@ -212,17 +267,40 @@ class TestCommonRandomNumbers:
         )
         grid = small_grid(steps=(120, 80), peak_lrs=(0.05, 0.2, 5.0))
         results = run_noise_sweep(grid, mode="monte-carlo", seed=3)
-        assert [args[0].shape for args, _ in calls] == [(120, 16), (80, 16)]
+        # one column per stable LR curve, and the distinct sigma2 / batch
+        assert [(args[0].shape, args[2]) for args, _ in calls] == [
+            ((120, 4), [0.0, 1.0, 0.25]), ((80, 4), [0.0, 1.0, 0.25])
+        ]
         assert {k["seed"] for _, k in calls} == {sweep.derive_seed(3, 0)}
         assert sum(r.stable for r in results) == 32
         assert all(r.gap_mc_mean is None for r in results if not r.stable)
 
-    def test_inserting_a_schedule_leaves_the_other_cells_unchanged(self):
-        grid = small_grid()
-        wider = small_grid(schedules=(SweepSchedule(kind="cosine"), *grid.schedules))
-        before = mc_gaps(run_noise_sweep(grid, mode="monte-carlo", seed=3))
-        after = mc_gaps(run_noise_sweep(wider, mode="monte-carlo", seed=3))
+    @pytest.mark.parametrize("mode", ["analytic", "monte-carlo"])
+    @pytest.mark.parametrize(
+        "wider",
+        [
+            dict(schedules=(SweepSchedule(kind="cosine"), *small_grid().schedules)),
+            # adds the (sigma2, batch) pairs of sigma2 = 3 and of batch 2
+            dict(sigma2s=(0.0, 1.0, 3.0), batches=(1, 2, 4)),
+        ],
+        ids=["schedule", "noise-pair"],
+    )
+    def test_inserting_a_schedule_leaves_the_other_cells_unchanged(self, mode, wider):
+        before = cell_gaps(run_noise_sweep(small_grid(), mode=mode, seed=3))
+        after = cell_gaps(run_noise_sweep(small_grid(**wider), mode=mode, seed=3))
         assert {key: after[key] for key in before} == before
+
+    @pytest.mark.parametrize("mode", ["analytic", "monte-carlo"])
+    def test_pairs_with_one_noise_ratio_give_identical_cells(self, mode):
+        # (1, 2) and (2, 4) are both sigma2 / batch = 0.5
+        results = run_noise_sweep(small_grid(sigma2s=(1.0, 2.0), batches=(2, 4)), mode=mode,
+                                  seed=3)
+        halves = {}
+        for r in results:
+            if r.sigma2 / r.batch == 0.5:
+                gaps = repr((r.gap_analytic, r.gap_mc_mean, r.gap_mc_stderr))
+                halves.setdefault((r.schedule_index, r.peak_lr), set()).add(gaps)
+        assert len(halves) == 4 and all(len(gaps) == 1 for gaps in halves.values())
 
     def test_schedule_index_tells_equal_kinds_apart(self):
         cyclic = tuple(
