@@ -1,4 +1,4 @@
-"""Analytic and Monte Carlo gap curves for SGD on noisy quadratics.
+"""Analytic and Monte Carlo final gaps for SGD on noisy quadratics.
 
 For a 1-D quadratic with curvature ``mu``, additive gradient noise of
 variance ``s2`` and squared start distance ``d0``, SGD with step sizes
@@ -7,7 +7,8 @@ variance ``s2`` and squared start distance ``d0``, SGD with step sizes
     e_t = (1 - lr_t * mu)^2 * e_{t-1} + lr_t^2 * s2,    e_0 = d0,
 
 which is stable while every ``lr_t * mu`` stays in [0, 2). Both gaps split
-into factors of the LR curve: ``e_T = A * d0 + B * s2``, and a trial ends at
+into factors of the LR curve, computed once for every variance asked:
+``e_T = A * d0 + B * s2``, and a trial ends at
 ``theta_T - theta* = P * sqrt(d0) - sqrt(s2) * W``, where, with ``c_t = 1 -
 lr_t * mu``, ``A = prod c_t^2``, ``B = sum_i lr_i^2 prod_{j>i} c_j^2``, ``P =
 prod c_t`` and ``W = sum_i lr_i prod_{j>i} c_j z_i`` (a trial at unit noise).
@@ -16,6 +17,7 @@ prod c_t`` and ``W = sum_i lr_i prod_{j>i} c_j z_i`` (a trial at unit noise).
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -55,7 +57,12 @@ class QuadraticProblem:
         check_count("dim", self.dim)
         with allocation_guard("dim", self.dim):
             curv = np.empty(self.dim)
-        curv[...] = np.broadcast_to(np.asarray(self.curvature, dtype=np.float64), (self.dim,))
+        try:
+            curv[...] = np.broadcast_to(np.asarray(self.curvature, dtype=np.float64), (self.dim,))
+        except (TypeError, ValueError):  # a wrong length, a ragged nesting or a string
+            shape = np.array(self.curvature, dtype=object).shape
+            raise ValidationError(f"curvature must be a positive number or {self.dim} of them, "
+                                  f"got {reprlib.repr(self.curvature)} of shape {shape}") from None
         if not np.all(np.isfinite(curv)) or curv.min() <= 0:
             raise ValidationError("curvature must be positive in every coordinate")
         object.__setattr__(self, "curvature", curv)
@@ -110,28 +117,36 @@ def _check_chains(lrs: np.ndarray, mu: float, d0: float) -> Tuple[np.ndarray, fl
     return (column if one else table.astype(np.float64, copy=False)), d0
 
 
+def _variances(noise_var_eff: object, lrs: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
+    """Checked variances, and the shape ``lrs.shape[1:] + np.shape(noise_var_eff)``."""
+    variances = np.array(noise_var_eff, dtype=object)
+    if variances.ndim > 1 or not variances.size:
+        raise ValidationError(f"noise_var_eff must be a number or a non-empty 1-D sequence of "
+                              f"them, got shape {variances.shape}")
+    checked = np.array([check_real("noise_var_eff", var) for var in variances.flat])
+    return checked, lrs.shape[1:] + variances.shape
+
+
 def sgd_quadratic_expected_gap(
     lrs: np.ndarray,
     mu: float,
-    noise_var_eff: float,
+    noise_var_eff: Union[float, Sequence[float]],
     d0: float,
-) -> np.ndarray:
-    """Exact expected squared distances ``e_1..e_T`` for 1-D SGD.
-
-    One chain gives its ``T`` gaps, LR columns ``(T, chains)`` at the one
-    variance of every chain a ``(T, chains)`` array whose column ``c``
-    equals the one-chain result for ``lrs[:, c]`` bit for bit.
-    """
-    lrs, e = _check_chains(lrs, mu, d0)
-    noise_var_eff = check_real("noise_var_eff", noise_var_eff)
-    contractions = np.square(1.0 - lrs * mu)
-    # the noise injections, each overwritten by its gap; 0 * inf would be nan
-    gaps = lrs * lrs if noise_var_eff else np.zeros_like(lrs)
-    gaps *= noise_var_eff
-    for t in range(len(lrs)):
-        e = contractions[t] * e + gaps[t]
-        gaps[t] = e
-    return gaps
+) -> Union[float, np.ndarray]:
+    """Exact expected final squared distance ``A * d0 + B * s2``, in the
+    shapes of :func:`sgd_monte_carlo_gap`. One loop advances ``A * d0`` and
+    ``B`` of every column; an entry at ``s2 = 0`` is ``A * d0`` alone."""
+    lrs, d0 = _check_chains(lrs, mu, d0)
+    variances, shape = _variances(noise_var_eff, lrs)
+    table = lrs.reshape(len(lrs), -1)
+    bias, unit = np.full(table.shape[1], d0), np.zeros(table.shape[1])  # A * d0 and B
+    contractions = np.square(1.0 - table * mu)
+    # lr * lr can overflow, and B is read only at a non-zero variance
+    injections = table * table if variances.any() else np.zeros_like(table)
+    for contraction, injection in zip(contractions, injections):
+        bias, unit = bias * contraction, unit * contraction + injection
+    gaps = np.column_stack([bias + unit * s2 if s2 else bias for s2 in variances])
+    return gaps.reshape(shape) if shape else float(gaps[0, 0])
 
 
 # Bytes of trial rows (W, a noise product and the final distances at one
@@ -192,13 +207,7 @@ def sgd_monte_carlo_gap(
     """
     check_count("trials", trials, minimum=2)
     lrs, d0 = _check_chains(lrs, mu, d0)
-    variances = np.array(noise_var_eff, dtype=object)
-    if variances.ndim > 1 or not variances.size:
-        raise ValidationError(f"noise_var_eff must be a number or a non-empty 1-D sequence of "
-                              f"them, got shape {variances.shape}")
-    stds = np.sqrt([check_real("noise_var_eff", var) for var in variances.flat])
-    means, stderrs = _final_gaps(lrs.reshape(len(lrs), -1), stds, mu, math.sqrt(d0), trials, seed)
-    shape = lrs.shape[1:] + variances.shape
-    if not shape:
-        return float(means[0, 0]), float(stderrs[0, 0])
-    return means.reshape(shape), stderrs.reshape(shape)
+    variances, shape = _variances(noise_var_eff, lrs)
+    means, stderrs = _final_gaps(lrs.reshape(len(lrs), -1), np.sqrt(variances), mu,
+                                 math.sqrt(d0), trials, seed)
+    return tuple(x.reshape(shape) if shape else float(x[0, 0]) for x in (means, stderrs))

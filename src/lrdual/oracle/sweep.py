@@ -9,11 +9,11 @@ The sweep runs one chain per stable LR curve (schedule, peak, step count):
 the noise axes enter only through ``s2 = sigma2 / batch``, and a cell's exact
 gap is ``A * d0 + B * s2`` and its Monte Carlo trials end at ``P * sqrt(d0) -
 sqrt(s2) * W``, with factors of the curve (see :mod:`lrdual.oracle.quadratic`).
-The curves of one step count are the LR columns of two exact-gap calls and,
-in Monte Carlo mode, of one simulation at every ``s2`` with common random
-numbers: each curve reads the same noise field at each step, keyed by one
-grid seed derived from the base seed. A cell's result therefore depends only
-on its own LR curve, ``s2`` and the base seed, not on the other cells.
+The curves of one step count are the LR columns of one exact-gap call and,
+in Monte Carlo mode, one simulation, each at every ``s2``. The simulation
+uses common random numbers: each curve reads the same noise field at each
+step, keyed by one grid seed derived from the base seed. A cell's result
+therefore depends only on its own LR curve, ``s2`` and the base seed.
 """
 
 from __future__ import annotations
@@ -205,8 +205,8 @@ def _run_cell(
 
 def _curve_gaps(grid: SweepGrid, mode: str, base_seed: int) -> dict:
     """The gaps of each stable LR curve (schedule, peak, steps) at each ``s2``
-    of the grid, as ``_run_cell`` takes them, from two exact-gap calls and, in
-    Monte Carlo mode, one simulation at every ``s2`` per step count."""
+    of the grid, as ``_run_cell`` takes them, from one exact-gap call and, in
+    Monte Carlo mode, one simulation per step count."""
     curves = {}  # step count -> the LR curve of each stable (schedule, peak)
     for (k, peak, total), spec in grid._specs.items():
         lrs = lr_curve(spec)
@@ -219,17 +219,14 @@ def _curve_gaps(grid: SweepGrid, mode: str, base_seed: int) -> dict:
     for total, stable in curves.items():
         keys = list(stable)
         table = np.column_stack([stable.pop(key) for key in keys])  # now the curves' one copy
-        # A * d0 and B, as lists so that the gap tables are freed
-        bias, unit = (sgd_quadratic_expected_gap(table, grid.mu, s2, d0)[-1].tolist()
-                      for s2, d0 in ((0.0, grid.d0), (1.0, 0.0)))
-        mc = []  # the Monte Carlo means and standard errors by curve and s2
+        # the exact gaps and the Monte Carlo means and standard errors by curve and s2
+        results = [sgd_quadratic_expected_gap(table, grid.mu, ratios, grid.d0)]
         if seed is not None:
-            mc = [values.tolist() for values in sgd_monte_carlo_gap(
-                table, grid.mu, ratios, grid.d0, trials=grid.trials, seed=seed)]
+            results += sgd_monte_carlo_gap(table, grid.mu, ratios, grid.d0, trials=grid.trials,
+                                           seed=seed)
         for c, (k, peak) in enumerate(keys):
             for r, s2 in enumerate(ratios):
-                gaps[k, peak, total, s2] = (bias[c] + unit[c] * s2 if s2 else bias[c],
-                                            *(values[c][r] for values in mc))
+                gaps[k, peak, total, s2] = tuple(float(values[c, r]) for values in results)
     return gaps
 
 

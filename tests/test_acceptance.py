@@ -183,7 +183,7 @@ def _analytic_final_gap(kind, ratio, peak, total, warmup, sigma2_eff):
         warmup_steps=warmup,
         decay_ratio=ratio,
     )
-    return sgd_quadratic_expected_gap(lr_curve(spec), 1.0, sigma2_eff, 1.0)[-1]
+    return sgd_quadratic_expected_gap(lr_curve(spec), 1.0, sigma2_eff, 1.0)
 
 
 def test_06_bias_variance_crossover():
@@ -250,7 +250,7 @@ def test_07_monte_carlo_consistency():
                 decay_ratio=ratio,
             )
             lrs = lr_curve(spec)
-            analytic = sgd_quadratic_expected_gap(lrs, 1.0, sigma2 / batch, 1.0)[-1]
+            analytic = sgd_quadratic_expected_gap(lrs, 1.0, sigma2 / batch, 1.0)
             mean, stderr = sgd_monte_carlo_gap(
                 lrs, 1.0, sigma2 / batch, 1.0, trials=1000, seed=derive_seed(5, idx)
             )

@@ -1,4 +1,4 @@
-"""Every count the library takes follows one integer rule: no bools, no floats."""
+"""Every count and seed the library takes follows one integer rule: no bools, no floats."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,11 @@ from lrdual.oracle import (
     QuadraticProblem,
     SweepGrid,
     SweepSchedule,
+    derive_seed,
+    normal_field,
     order_fit_probe,
     sgd_monte_carlo_gap,
+    stream,
 )
 
 
@@ -45,6 +48,15 @@ COUNTS = {
     "SweepGrid.steps": (lambda n: grid(steps=(n,)), 20),
     "SweepGrid.batches": (lambda n: grid(batches=(n,)), 2),
     "SweepGrid.trials": (lambda n: grid(trials=n), 2),
+    # seeds, steps and indices: a bool would key the stream of 0 or 1
+    "normal_field.seed": (lambda n: normal_field(n, 1, 3), 5),
+    "normal_field.step": (lambda n: normal_field(5, n, 3), 2),
+    "derive_seed.base_seed": (lambda n: derive_seed(n, 0), 3),
+    "derive_seed.index": (lambda n: derive_seed(0, n), 3),
+    "sgd_monte_carlo_gap.seed": (
+        lambda n: sgd_monte_carlo_gap(np.full(5, 0.1), 1.0, 1.0, 1.0, trials=4, seed=n), 3),
+    "stream.seed": (lambda n: list(stream(
+        QuadraticProblem(dim=2, noise_var=1.0), np.full(3, 0.1), AdamWConfig(), seed=n)), 3),
 }
 
 

@@ -34,15 +34,25 @@ class TestQuadraticProblem:
         p = QuadraticProblem(dim=1, noise_var=2.0, batch_size=8)
         assert p.effective_noise_var == 0.25
 
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            QuadraticProblem(dim=0)
-        with pytest.raises(ValidationError):
-            QuadraticProblem(dim=2, curvature=-1.0)
-        with pytest.raises(ValidationError):
-            QuadraticProblem(dim=2, noise_var=-0.5)
-        with pytest.raises(ValidationError):
-            QuadraticProblem(dim=2, batch_size=0)
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(dim=0), "dim must be"),
+            (dict(dim=2, curvature=-1.0), "curvature must be positive"),
+            (dict(dim=2, noise_var=-0.5), "noise_var must be"),
+            (dict(dim=2, batch_size=0), "batch_size must be"),
+            # numpy's broadcast and conversion errors are not let through
+            (dict(dim=3, curvature=[1.0, 2.0]), r"curvature .* 3 of them, .* of shape \(2,\)"),
+            (dict(dim=3, curvature="a"), r"curvature .* got 'a' of shape \(\)"),
+            (dict(dim=3, curvature=[[1.0], [1.0, 2.0]]), r"curvature .* of shape \(2,\)"),
+            (dict(dim=2, curvature=np.ones((2, 2))), r"curvature .* of shape \(2, 2\)"),
+        ],
+        ids=["dim", "negative-curvature", "noise", "batch", "curvature-length",
+             "curvature-string", "curvature-ragged", "curvature-2-d"],
+    )
+    def test_validation(self, fields, message):
+        with pytest.raises(ValidationError, match=message):
+            QuadraticProblem(**fields)
 
     def test_dim_too_large_to_allocate(self):
         # numpy refuses 1e20 entries before allocating anything
@@ -52,14 +62,14 @@ class TestQuadraticProblem:
 
 class TestExpectedGap:
     def test_noiseless_geometric(self):
-        gaps = sgd_quadratic_expected_gap(np.full(6, 0.5), mu=1.0, noise_var_eff=0.0, d0=1.0)
+        lrs = np.full(6, 0.5)
+        gaps = [sgd_quadratic_expected_gap(lrs[:t], mu=1.0, noise_var_eff=0.0, d0=1.0)
+                for t in range(1, 7)]
         np.testing.assert_allclose(gaps, 0.25 ** np.arange(1, 7), rtol=1e-13)
 
     def test_fixed_point_one_third(self):
-        gaps = sgd_quadratic_expected_gap(
-            np.full(200, 0.5), mu=1.0, noise_var_eff=1.0, d0=1.0
-        )
-        assert gaps[-1] == pytest.approx(1.0 / 3.0, rel=1e-12)
+        gap = sgd_quadratic_expected_gap(np.full(200, 0.5), mu=1.0, noise_var_eff=1.0, d0=1.0)
+        assert gap == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_instability_detected(self):
         with pytest.raises(DomainError):
@@ -84,22 +94,36 @@ class TestExpectedGap:
         "lrs, mu, s2, d0, pinned",
         [
             (np.linspace(0.05, 0.001, 300), 1.0, 0.7, 1.5,
-             (0.013094071851585686, 0.004009706104184308)),
+             (0.013094071851585681, 0.004009706104184305)),
             (np.linspace(1.5, 0.0, 300), 1.3, 2.0, 0.5, (2.2222449644465487, 0.04373710765682645)),
         ],
     )
     def test_bit_pin(self, lrs, mu, s2, d0, pinned):
-        # recorded when the recursion ran one chain per call; the column form
-        # must not reorder its floating-point operations
-        gaps = sgd_quadratic_expected_gap(lrs, mu, s2, d0)
-        assert (float(gaps[99]), float(gaps[-1])) == pinned
+        # recorded when the gap became A * d0 + B * s2 from one loop; the
+        # direct recursion gave (0.013094071851585686, 0.004009706104184308)
+        # on the first case and the same bits on the second
+        gaps = [sgd_quadratic_expected_gap(lrs[:t], mu, s2, d0) for t in (100, len(lrs))]
+        assert tuple(gaps) == pinned
+
+    def test_zero_variance_reads_a_times_d0_alone(self):
+        # lr^2 = 1e400 overflows, so B is inf; the entry at s2 = 0 must not
+        # read it, and inf * 0 would be an invalid-value error here
+        lrs, mu, d0 = np.full(50, 1e200), 1e-201, 1.5
+        with np.errstate(over="ignore"):
+            gaps = sgd_quadratic_expected_gap(lrs, mu, [0.0, 1.0], d0)
+        bias = d0
+        for contraction in np.square(1.0 - lrs * mu).tolist():
+            bias = contraction * bias + 0.0  # the recursion at s2 = 0
+        assert math.isfinite(gaps[0]) and gaps[0].tobytes() == np.float64(bias).tobytes()
+        assert gaps[0] == sgd_quadratic_expected_gap(lrs, mu, 0.0, d0)
+        assert gaps[1] == math.inf
 
     def test_bound_dominates_exact_recursion(self):
         # running two-term majorant: contraction product on d0 plus the
         # un-discounted noise injections
         lr, mu, s2, d0 = 0.2, 1.0, 0.7, 3.0
         lrs = np.full(300, lr)
-        exact = sgd_quadratic_expected_gap(lrs, mu, s2, d0)
+        exact = np.array([sgd_quadratic_expected_gap(lrs[:t], mu, s2, d0) for t in range(1, 301)])
         t = np.arange(1, 301)
         majorant = (1 - lr * mu) ** (2 * t) * d0 + t * lr * lr * s2
         assert np.all(exact <= majorant + 1e-15)
@@ -108,7 +132,7 @@ class TestExpectedGap:
 class TestMonteCarlo:
     def test_matches_analytic_within_three_stderr(self):
         lrs = np.linspace(0.3, 0.0, 400)
-        analytic = sgd_quadratic_expected_gap(lrs, 1.0, 0.5, 1.0)[-1]
+        analytic = sgd_quadratic_expected_gap(lrs, 1.0, 0.5, 1.0)
         mean, stderr = sgd_monte_carlo_gap(lrs, 1.0, 0.5, 1.0, trials=1000, seed=11)
         assert abs(mean - analytic) <= 3 * stderr
 
@@ -145,17 +169,17 @@ class TestMonteCarlo:
                 (1.0, 1.0, -1.0),
                 (1.0, 1.0, float("inf")),
             ]],
-            # one variance for every chain of the exact gap
-            ("analytic", 1.0, [1.0, 2.0], 1.0),
-            ("analytic", 1.0, np.array([1.0]), 1.0),
-            # the Monte Carlo takes one variance or a non-empty 1-D sequence
-            ("monte-carlo", 1.0, [], 1.0),
-            ("monte-carlo", 1.0, np.full((2, 1), 1.0), 1.0),
-            ("monte-carlo", 1.0, [[1.0], [1.0, 2.0]], 1.0),
-            ("monte-carlo", 1.0, [1.0, -1.0], 1.0),
-            ("monte-carlo", 1.0, [1.0, float("nan")], 1.0),
-            ("monte-carlo", 1.0, [1.0, True], 1.0),
-            ("monte-carlo", 1.0, np.array([True]), 1.0),
+            # both take one variance or a non-empty 1-D sequence of them
+            *[(gap, 1.0, variances, 1.0) for gap in ("analytic", "monte-carlo")
+              for variances in [
+                  [],
+                  np.full((2, 1), 1.0),
+                  [[1.0], [1.0, 2.0]],
+                  [1.0, -1.0],
+                  [1.0, float("nan")],
+                  [1.0, True],
+                  np.array([True]),
+              ]],
         ],
     )
     def test_chain_inputs_checked(self, gap, mu, noise_var_eff, d0):
@@ -202,8 +226,8 @@ class TestMonteCarlo:
 
 
 class TestMonteCarloChains:
-    """Time-major LR columns, taken by both gap functions with one noise
-    variance for every chain, and by the Monte Carlo with a sequence of them."""
+    """Time-major LR columns and sequences of variances, taken by both gap
+    functions."""
 
     LRS = np.column_stack([
         np.linspace(0.3, 0.0, 150), np.full(150, 0.05), np.linspace(0.01, 0.4, 150),
@@ -227,19 +251,23 @@ class TestMonteCarloChains:
         ids=["one-one", "one-many", "many-one", "many-many"],
     )
     def test_result_shape_is_columns_by_variances(self, lrs, variances, shape):
+        # the exact gap's results come in the Monte Carlo's layout
+        gap = sgd_quadratic_expected_gap(lrs, 1.0, variances, 1.5)
         result = sgd_monte_carlo_gap(lrs, 1.0, variances, 1.5, trials=40, seed=17)
         if shape is None:
-            assert all(type(x) is float for x in result)
+            assert all(type(x) is float for x in (gap, *result))
         else:
-            assert result[0].shape == result[1].shape == shape
+            assert gap.shape == result[0].shape == result[1].shape == shape
 
     @pytest.mark.parametrize("variance", [0.5, 0.0])
     def test_each_expected_gap_column_equals_its_one_chain_run(self, variance):
-        gaps = sgd_quadratic_expected_gap(self.LRS, 1.0, variance, 1.5)
-        assert gaps.shape == self.LRS.shape
-        for c in range(5):
-            one = sgd_quadratic_expected_gap(self.LRS[:, c], 1.0, variance, 1.5)
-            assert gaps[:, c].tobytes() == one.tobytes()
+        # at one variance, and at it among the others
+        for variances, shape in ((variance, (5,)), ([variance, *self.VARIANCES], (5, 5))):
+            gaps = sgd_quadratic_expected_gap(self.LRS, 1.0, variances, 1.5)
+            assert gaps.shape == shape
+            for c, v in np.ndindex(5, np.size(variances)):
+                one = sgd_quadratic_expected_gap(self.LRS[:, c], 1.0, np.ravel(variances)[v], 1.5)
+                assert gaps.reshape(5, -1)[c, v].tobytes() == np.float64(one).tobytes()
 
     def test_noiseless_chain_equals_a_full_width_run(self):
         # one column stands for every trial; the statistics still run over all
@@ -318,9 +346,11 @@ class TestExactReferences:
         ids=["A*d0", "B", "direct"],
     )
     def test_expected_gap_factors(self, s2, d0, bound):
-        # measured 3.10, 0.73 and 1.54 ulps; every step rounds lr * mu and
-        # the contraction's square, and A carries those roundings through
-        gaps = sgd_quadratic_expected_gap(self.LRS, self.MU, s2, d0).tolist()
+        # at every prefix of the curve, measured 3.10, 0.73 and 1.48 ulps;
+        # every step rounds lr * mu and the contraction's square, and A
+        # carries those roundings through
+        gaps = [sgd_quadratic_expected_gap(self.LRS[:t], self.MU, s2, d0)
+                for t in range(1, len(self.LRS) + 1)]
         e, mu = Fraction(d0), Fraction(self.MU)
         for t, lr in enumerate(map(Fraction, self.LRS.tolist())):
             e = (1 - lr * mu) ** 2 * e + lr * lr * Fraction(s2)

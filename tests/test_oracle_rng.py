@@ -25,8 +25,8 @@ def assert_bits_equal(got, expected):
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 1000])
-@pytest.mark.parametrize("seed", [0, TOP])
-@pytest.mark.parametrize("step", [0, TOP])
+@pytest.mark.parametrize("seed", [0, TOP, np.uint64(TOP)])
+@pytest.mark.parametrize("step", [0, TOP, np.int64(3)])
 def test_matches_freshly_keyed_philox(seed, step, n):
     assert_bits_equal(normal_field(seed, step, n), reference(seed, step, n))
 
@@ -78,9 +78,20 @@ def test_threads_drawing_at_once_keep_their_streams():
 
 
 @pytest.mark.parametrize(
-    "seed, step", [(2**64, 0), (0, 2**64), (-1, 0), (0, -1), (2**65 + 3, 7)]
+    "seed, step",
+    [(2**64, 0), (0, 2**64), (-1, 0), (0, -1), (2**65 + 3, 7),
+     # 1.5, True and 1.0 would key seed 1's stream
+     (1.5, 1), (True, 1), (1, False), (np.float64(1.0), 1), (np.bool_(True), 1), ("1", 1)],
 )
 def test_key_outside_64_bits_is_refused(seed, step):
     # masking would replay another key's stream, e.g. 2**64 as 0
     with pytest.raises(ValidationError, match=r"\[0, 2\*\*64\)"):
         normal_field(seed, step, 3)
+
+
+@pytest.mark.parametrize(
+    "base_seed, index", [(-1, 0), (0, -1), (1.5, 0), (True, 0), (0, False), ("x", 0), (0, 2.0)]
+)
+def test_derive_seed_refuses_what_is_not_a_non_negative_integer(base_seed, index):
+    with pytest.raises(ValidationError, match="seeds and indices must be non-negative integers"):
+        derive_seed(base_seed, index)

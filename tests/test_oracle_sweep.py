@@ -191,24 +191,34 @@ def reference_gap(lrs, mu, s2, d0, bits=200):
     return Fraction(e, scale)
 
 
+def direct_gap(lrs, mu, s2, d0):
+    """The expected-gap recursion e_t = (1 - lr mu)^2 e_{t-1} + lr^2 s2 in
+    floats, as each cell ran it before the gap was split into A and B."""
+    e = d0
+    for lr in lrs.tolist():
+        e = (1.0 - lr * mu) ** 2 * e + lr * lr * s2
+    return e
+
+
 class TestGroupedGaps:
     """Both modes compute the gaps of one step count from one column per
-    stable LR curve: A * d0 and B in two exact-gap calls, and the Monte
-    Carlo at every noise ratio in one more."""
+    stable LR curve: A * d0 + B * s2 at every noise ratio in one exact-gap
+    call, and the Monte Carlo at every noise ratio in one more."""
 
     GRID = dict(steps=(120, 80), peak_lrs=(0.05, 0.2, 5.0))
 
     @pytest.mark.parametrize("mode", ["analytic", "monte-carlo"])
-    def test_two_exact_calls_per_step_count(self, monkeypatch, mode):
+    def test_one_exact_call_per_step_count(self, monkeypatch, mode):
         calls = []
         gap = sweep.sgd_quadratic_expected_gap
         monkeypatch.setattr(
             sweep, "sgd_quadratic_expected_gap", lambda *a: calls.append(a) or gap(*a)
         )
         results = run_noise_sweep(small_grid(**self.GRID), mode=mode, seed=3)
-        # 2 schedules x 2 stable peaks, whatever the 4 (sigma2, batch) pairs
+        # 2 schedules x 2 stable peaks at the distinct sigma2 / batch of the
+        # 4 (sigma2, batch) pairs
         assert [(args[0].shape, args[2], args[3]) for args in calls] == [
-            ((120, 4), 0.0, 1.0), ((120, 4), 1.0, 0.0), ((80, 4), 0.0, 1.0), ((80, 4), 1.0, 0.0)
+            ((120, 4), [0.0, 1.0, 0.25], 1.0), ((80, 4), [0.0, 1.0, 0.25], 1.0)
         ]
         assert sum(r.stable for r in results) == 32
 
@@ -223,15 +233,16 @@ class TestGroupedGaps:
                 continue
             lrs = lr_curve(grid._specs[r.schedule_index, r.peak_lr, r.steps])
             s2 = r.sigma2 / r.batch
-            direct = float(sgd_quadratic_expected_gap(lrs, grid.mu, s2, grid.d0)[-1])
-            bias = float(sgd_quadratic_expected_gap(lrs, grid.mu, 0.0, grid.d0)[-1])
-            unit = float(sgd_quadratic_expected_gap(lrs, grid.mu, 1.0, 0.0)[-1])
+            one = sgd_quadratic_expected_gap(lrs, grid.mu, s2, grid.d0)
+            bias = sgd_quadratic_expected_gap(lrs, grid.mu, 0.0, grid.d0)  # A * d0
+            unit = sgd_quadratic_expected_gap(lrs, grid.mu, 1.0, 0.0)  # B
+            direct = direct_gap(lrs, grid.mu, s2, grid.d0)
+            assert repr(r.gap_analytic) == repr(one)
             if s2 == 0:
-                assert repr(r.gap_analytic) == repr(bias) == repr(direct)
+                assert repr(one) == repr(bias) == repr(direct)
             else:
-                assert repr(r.gap_analytic) == repr(bias + unit * s2)
-                # the direct recursion is what each cell ran before
-                assert abs(r.gap_analytic - direct) <= 21 * math.ulp(direct)
+                assert repr(one) == repr(bias + unit * s2)
+                assert abs(one - direct) <= 21 * math.ulp(direct)
             if mode == "monte-carlo":
                 one = sgd_monte_carlo_gap(lrs, grid.mu, s2, grid.d0, trials=grid.trials,
                                           seed=sweep.derive_seed(3, 0))
